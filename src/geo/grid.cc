@@ -42,21 +42,8 @@ std::vector<RegionId> Grid::Neighbors(RegionId r) const {
 
 std::vector<RegionId> Grid::Ring(RegionId r, int ring) const {
   assert(r >= 0 && r < num_regions());
-  if (ring == 0) return {r};
   std::vector<RegionId> out;
-  int row = RowOf(r), col = ColOf(r);
-  int r0 = row - ring, r1 = row + ring;
-  int c0 = col - ring, c1 = col + ring;
-  for (int c = c0; c <= c1; ++c) {
-    if (c < 0 || c >= cols_) continue;
-    if (r0 >= 0) out.push_back(RegionAt(r0, c));
-    if (r1 < rows_) out.push_back(RegionAt(r1, c));
-  }
-  for (int rr = r0 + 1; rr <= r1 - 1; ++rr) {
-    if (rr < 0 || rr >= rows_) continue;
-    if (c0 >= 0) out.push_back(RegionAt(rr, c0));
-    if (c1 < cols_) out.push_back(RegionAt(rr, c1));
-  }
+  ForEachInRing(r, ring, [&out](RegionId reg) { out.push_back(reg); });
   return out;
 }
 

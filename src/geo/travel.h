@@ -12,6 +12,14 @@ namespace mrvd {
 /// Abstract travel-cost oracle: seconds to drive from `from` to `to`.
 /// Implementations must be symmetric-free (directed cost is allowed) and
 /// return non-negative finite values for in-city points.
+///
+/// Contract: for every pair of city-scale points, in the city box or off-box
+/// GPS fixes alike,
+///   TravelSeconds(a, b) >= EquirectangularMeters(a, b) / MaxSpeedMps(),
+/// i.e. no trip is faster than the crow-fly distance at the maximum speed.
+/// Candidate generation (dispatch/candidates.h) relies on it to skip
+/// regions beyond a rider's reach; a model that breaks it would silently
+/// lose valid pairs.
 class TravelCostModel {
  public:
   virtual ~TravelCostModel() = default;
@@ -24,6 +32,12 @@ class TravelCostModel {
 
   /// Reference cruising speed in m/s used for time<->distance conversion.
   virtual double SpeedMps() const = 0;
+
+  /// Upper bound in m/s on the crow-fly speed of any trip (see the contract
+  /// above). Defaults to SpeedMps(), which is exact for models that are
+  /// never faster than the reference speed; a model with faster stretches
+  /// must override it.
+  virtual double MaxSpeedMps() const { return SpeedMps(); }
 };
 
 /// Straight-line cost: equirectangular distance inflated by a fixed detour

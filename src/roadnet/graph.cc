@@ -39,10 +39,12 @@ StatusOr<RoadNetwork> RoadNetwork::Build(std::vector<LatLon> nodes,
     int64_t slot = cursor[static_cast<size_t>(e.from)]++;
     net.targets_[static_cast<size_t>(slot)] = e.to;
     net.costs_[static_cast<size_t>(slot)] = e.cost_seconds;
+    double meters = EquirectangularMeters(net.nodes_[static_cast<size_t>(e.from)],
+                                          net.nodes_[static_cast<size_t>(e.to)]);
     if (e.cost_seconds > 0.0) {
-      double meters = EquirectangularMeters(net.nodes_[static_cast<size_t>(e.from)],
-                                            net.nodes_[static_cast<size_t>(e.to)]);
       max_speed = std::max(max_speed, meters / e.cost_seconds);
+    } else if (meters > 0.0) {
+      max_speed = std::numeric_limits<double>::infinity();
     }
   }
   net.max_speed_mps_ = max_speed;

@@ -51,7 +51,8 @@ class RoadNetwork {
   NodeId NearestNodeLinear(const LatLon& p) const;
 
   /// Maximum speed implied by any edge (used by A*'s admissible heuristic:
-  /// h(n) = straight_line / max_speed). Computed once at build.
+  /// h(n) = straight_line / max_speed). Computed once at build; infinite
+  /// if a zero-cost edge joins two distinct positions.
   double max_speed_mps() const { return max_speed_mps_; }
 
  private:

@@ -3,6 +3,7 @@
 // heuristic, and a travel-cost model adapter for the simulator.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -73,7 +74,20 @@ class RoadNetworkCostModel : public TravelCostModel {
   double TravelSeconds(const LatLon& from, const LatLon& to) const override;
   double SpeedMps() const override { return fallback_speed_mps_; }
 
+  /// Streets may be faster than the fallback speed (MakeGridNetwork's
+  /// jitter), so the crow-fly bound is the faster of the fallback speed (the
+  /// access legs) and the network's fastest edge, widened by
+  /// kCrowFlySlack: a trip's legs and edges sum their own equirectangular
+  /// lengths, and that metric can break the triangle inequality by about
+  /// 1e-6 relative at city scale.
+  double MaxSpeedMps() const override {
+    return std::max(fallback_speed_mps_, net_->max_speed_mps()) *
+           kCrowFlySlack;
+  }
+
  private:
+  static constexpr double kCrowFlySlack = 1.0 + 1e-4;
+
   std::shared_ptr<const RoadNetwork> net_;
   SnapIndex snap_;
   // Scratch buffers for the search; the model is logically const but reuses

@@ -92,7 +92,7 @@ const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
   return &shard_index_;
 }
 
-RegionRates BatchContext::RatesFor(RegionId region, int extra_drivers) const {
+RegionSnapshot BatchContext::ServiceSnapshot(RegionId region) const {
   RegionSnapshot snap = snapshots_[static_cast<size_t>(region)];
   if (candidate_mode_ == CandidateMode::kRingExpand) {
     // Under cross-region matching a driver rejoining region k competes in
@@ -100,27 +100,25 @@ RegionRates BatchContext::RatesFor(RegionId region, int extra_drivers) const {
     // determines his idle time aggregates those regions' demand and supply.
     // Under strict per-region matching (Algorithm 2) the region's own
     // snapshot is the exact queue.
-    for (RegionId nb : grid_.Neighbors(region)) {
+    grid_.ForEachInRing(region, 1, [&](RegionId nb) {
       const RegionSnapshot& s = snapshots_[static_cast<size_t>(nb)];
       snap.waiting_riders += s.waiting_riders;
       snap.available_drivers += s.available_drivers;
       snap.predicted_riders += s.predicted_riders;
       snap.predicted_drivers += s.predicted_drivers;
-    }
+    });
   }
+  return snap;
+}
+
+RegionRates BatchContext::RatesFor(RegionId region, int extra_drivers) const {
+  RegionSnapshot snap = ServiceSnapshot(region);
   snap.predicted_drivers += static_cast<double>(extra_drivers);
   return EstimateRegionRates(snap, window_seconds_);
 }
 
 int64_t BatchContext::MaxDriversFor(RegionId region, int extra_drivers) const {
-  RegionSnapshot snap = snapshots_[static_cast<size_t>(region)];
-  if (candidate_mode_ == CandidateMode::kRingExpand) {
-    for (RegionId nb : grid_.Neighbors(region)) {
-      const RegionSnapshot& s = snapshots_[static_cast<size_t>(nb)];
-      snap.available_drivers += s.available_drivers;
-      snap.predicted_drivers += s.predicted_drivers;
-    }
-  }
+  const RegionSnapshot snap = ServiceSnapshot(region);
   int64_t k = snap.available_drivers +
               static_cast<int64_t>(snap.predicted_drivers) + extra_drivers;
   return std::max<int64_t>(k, 1);

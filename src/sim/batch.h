@@ -201,6 +201,11 @@ class BatchContext {
   int64_t MaxDriversFor(RegionId region, int extra_drivers) const;
 
  private:
+  /// The snapshot of the queue a driver rejoining `region` joins: the 3x3
+  /// service neighbourhood summed in Grid::ForEachInRing order under
+  /// kRingExpand, the region's own snapshot under kRegionLocal.
+  RegionSnapshot ServiceSnapshot(RegionId region) const;
+
   double now_;
   double window_seconds_;
   double reneging_beta_;

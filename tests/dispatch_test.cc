@@ -1,10 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
+#include "geo/region_partitioner.h"
 #include "geo/travel.h"
+#include "roadnet/graph.h"
+#include "roadnet/shortest_path.h"
 #include "sim/batch.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mrvd {
 namespace {
@@ -124,6 +136,209 @@ TEST_F(DispatchTest, PerRiderGroupingMatchesFlatList) {
   size_t total = 0;
   for (const auto& g : grouped) total += g.size();
   EXPECT_EQ(flat.size(), total);
+}
+
+// ------------------------------------------------ candidate search oracle
+
+// One seeded random batch for the oracle. Riders and drivers spill up to
+// `spill` degrees outside the city box (clamped into border cells), some
+// pickups sit exactly on cell edges, budgets include zero, negative and
+// exact-boundary deadlines, and drivers cluster in part of the city so most
+// regions are empty.
+std::unique_ptr<BatchContext> MakeOracleBatch(const Grid& grid,
+                                              const TravelCostModel& cost,
+                                              CandidateMode mode,
+                                              uint64_t seed) {
+  constexpr double kNow = 5000.0;
+  Rng rng(seed);
+  auto ctx = std::make_unique<BatchContext>(kNow, 1200.0, 0.02, grid, cost,
+                                            mode);
+  const BoundingBox& box = grid.box();
+  const double spill = 0.05;
+  auto random_point = [&](const BoundingBox& area) {
+    return LatLon{rng.Uniform(area.lat_min - spill, area.lat_max + spill),
+                  rng.Uniform(area.lon_min - spill, area.lon_max + spill)};
+  };
+  // Drivers fill a random sub-box (plus the spill), leaving regions empty.
+  const double lat_a = rng.Uniform(box.lat_min, box.lat_max);
+  const double lat_b = rng.Uniform(box.lat_min, box.lat_max);
+  const double lon_a = rng.Uniform(box.lon_min, box.lon_max);
+  const double lon_b = rng.Uniform(box.lon_min, box.lon_max);
+  const BoundingBox driver_area{std::min(lon_a, lon_b), std::max(lon_a, lon_b),
+                                std::min(lat_a, lat_b), std::max(lat_a, lat_b)};
+  const int num_drivers = static_cast<int>(rng.UniformInt(0, 150));
+  std::vector<AvailableDriver> drivers;
+  for (int j = 0; j < num_drivers; ++j) {
+    AvailableDriver d;
+    d.driver_id = j;
+    d.location = rng.Bernoulli(0.8) ? random_point(driver_area)
+                                    : random_point(box);
+    d.region = grid.RegionOf(d.location);
+    drivers.push_back(d);
+  }
+
+  const int num_riders = static_cast<int>(rng.UniformInt(0, 60));
+  for (int i = 0; i < num_riders; ++i) {
+    WaitingRider r;
+    r.order_id = i;
+    const int kind = static_cast<int>(rng.UniformInt(0, 5));
+    if (kind == 0) {
+      // Exactly on a cell corner (edges of both a row and a column).
+      const auto row = rng.UniformInt(0, grid.rows());
+      const auto col = rng.UniformInt(0, grid.cols());
+      r.pickup = {box.lat_min + static_cast<double>(row) *
+                                    grid.cell_height_degrees(),
+                  box.lon_min + static_cast<double>(col) *
+                                    grid.cell_width_degrees()};
+    } else if (kind == 1 && !drivers.empty()) {
+      // On top of a driver (a zero-distance pair).
+      r.pickup = drivers[static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(drivers.size()) - 1))]
+                     .location;
+    } else {
+      r.pickup = random_point(box);
+    }
+    r.dropoff = random_point(box);
+    r.request_time = kNow - 10.0;
+    const int budget_kind = static_cast<int>(rng.UniformInt(0, 4));
+    if (budget_kind == 0) {
+      r.pickup_deadline = kNow;  // zero budget
+    } else if (budget_kind == 1) {
+      r.pickup_deadline = kNow - rng.Uniform(0.0, 60.0);  // already late
+    } else if (budget_kind == 2 && !drivers.empty()) {
+      // Deadline exactly at some driver's arrival: the boundary case.
+      const AvailableDriver& d = drivers[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(drivers.size()) - 1))];
+      r.pickup_deadline = kNow + cost.TravelSeconds(d.location, r.pickup);
+    } else {
+      r.pickup_deadline = kNow + rng.Uniform(0.0, 1500.0);
+    }
+    r.trip_seconds = cost.TravelSeconds(r.pickup, r.dropoff);
+    r.revenue = r.trip_seconds;
+    r.pickup_region = grid.RegionOf(r.pickup);
+    r.dropoff_region = grid.RegionOf(r.dropoff);
+    ctx->AddRider(r);
+  }
+  ctx->SetDrivers(std::move(drivers));
+  return ctx;
+}
+
+// The O(R·D) reference: every valid driver of each rider, ordered by ring
+// distance, then position in Grid::Ring, then driver index.
+std::vector<CandidatePair> BruteForcePairs(const BatchContext& ctx) {
+  const Grid& grid = ctx.grid();
+  std::vector<CandidatePair> out;
+  for (int i = 0; i < static_cast<int>(ctx.riders().size()); ++i) {
+    const WaitingRider& r = ctx.riders()[static_cast<size_t>(i)];
+    std::vector<int> ring_pos(static_cast<size_t>(grid.num_regions()), -1);
+    for (int g = 0; g < std::max(grid.rows(), grid.cols()); ++g) {
+      int pos = 0;
+      for (RegionId reg : grid.Ring(r.pickup_region, g)) {
+        ring_pos[static_cast<size_t>(reg)] = pos++;
+      }
+    }
+    std::vector<std::tuple<int, int, int>> keyed;  // (ring, pos, driver)
+    for (int j = 0; j < static_cast<int>(ctx.drivers().size()); ++j) {
+      const AvailableDriver& d = ctx.drivers()[static_cast<size_t>(j)];
+      if (ctx.candidate_mode() == CandidateMode::kRegionLocal &&
+          d.region != r.pickup_region) {
+        continue;
+      }
+      if (!ctx.IsValidPair(d, r)) continue;
+      keyed.emplace_back(grid.RingDistance(r.pickup_region, d.region),
+                         ring_pos[static_cast<size_t>(d.region)], j);
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (const auto& [ring, pos, j] : keyed) {
+      out.push_back(
+          {i, j, ctx.PickupSeconds(ctx.drivers()[static_cast<size_t>(j)], r)});
+    }
+  }
+  return out;
+}
+
+void ExpectSamePairs(const std::vector<CandidatePair>& want,
+                     const std::vector<CandidatePair>& got,
+                     const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(want[k].rider_index, got[k].rider_index) << label << " #" << k;
+    ASSERT_EQ(want[k].driver_index, got[k].driver_index) << label << " #" << k;
+    // Bit-identical: both sides compute the same PickupSeconds call.
+    ASSERT_EQ(want[k].pickup_seconds, got[k].pickup_seconds)
+        << label << " #" << k;
+  }
+}
+
+// A model with no finite crow-fly speed bound, like a road network with a
+// zero-cost street: its trips are far faster than SpeedMps(), so pruning
+// must switch itself off (zero budgets included) rather than use SpeedMps.
+class UnboundedSpeedModel : public TravelCostModel {
+ public:
+  double TravelSeconds(const LatLon& from, const LatLon& to) const override {
+    return EquirectangularMeters(from, to) / 2000.0;
+  }
+  double SpeedMps() const override { return 7.0; }
+  double MaxSpeedMps() const override {
+    return std::numeric_limits<double>::infinity();
+  }
+};
+
+TEST(CandidateOracleTest, MatchesBruteForceExactly) {
+  const Grid nyc16 = MakeNycGrid16x16();
+  const Grid test4(kNycBoundingBox, 4, 4);
+  const StraightLineCostModel tight(10.0, 1.0);  // contract holds with equality
+  const StraightLineCostModel detour(7.0, 1.3);
+  const ManhattanCostModel manhattan(7.0);
+  // Jittered streets run up to 1.25x faster than the fallback SpeedMps().
+  const RoadNetworkCostModel road(
+      std::make_shared<RoadNetwork>(MakeGridNetwork(
+          kNycBoundingBox, 16, 16, /*speed_mps=*/8.0, /*jitter=*/0.25, 7)),
+      kNycBoundingBox, 8.0);
+  const UnboundedSpeedModel unbounded;
+  struct CostCase {
+    const char* name;
+    const TravelCostModel* model;
+    bool thread_safe;  // RoadNetworkCostModel reuses one search engine
+  };
+  const CostCase costs[] = {{"tight", &tight, true},
+                            {"detour", &detour, true},
+                            {"manhattan", &manhattan, true},
+                            {"road", &road, false},
+                            {"unbounded", &unbounded, true}};
+  ThreadPool pool(4);
+
+  int64_t total_pairs = 0;
+  for (const Grid* grid : {&nyc16, &test4}) {
+    const RegionPartitioner parts = RegionPartitioner::RowBands(*grid, 4);
+    const BatchExecution exec{&pool, &parts};
+    for (const CostCase& cost : costs) {
+      for (CandidateMode mode :
+           {CandidateMode::kRingExpand, CandidateMode::kRegionLocal}) {
+        for (uint64_t seed = 1; seed <= 25; ++seed) {
+          const std::string label =
+              std::to_string(grid->rows()) + "x" +
+              std::to_string(grid->cols()) + " cost=" + cost.name +
+              " mode=" + std::to_string(static_cast<int>(mode)) +
+              " seed=" + std::to_string(seed);
+          auto ctx = MakeOracleBatch(*grid, *cost.model, mode, seed);
+          const std::vector<CandidatePair> want = BruteForcePairs(*ctx);
+          total_pairs += static_cast<int64_t>(want.size());
+          ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " serial");
+          if (!cost.thread_safe) continue;
+
+          ctx->SetExecution(&exec);
+          ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " 4 threads");
+          std::vector<CandidatePair> flattened;
+          for (const auto& g : GenerateValidPairsPerRider(*ctx)) {
+            flattened.insert(flattened.end(), g.begin(), g.end());
+          }
+          ExpectSamePairs(want, flattened, label + " per-rider 4 threads");
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_pairs, 1000);  // the batches are not trivially empty
 }
 
 // ---------------------------------------------------------------- scoring

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "geo/grid.h"
 #include "geo/point.h"
 #include "geo/travel.h"
+#include "roadnet/graph.h"
+#include "roadnet/shortest_path.h"
+#include "util/rng.h"
 
 namespace mrvd {
 namespace {
@@ -150,6 +155,54 @@ TEST(TravelTest, ManhattanAtLeastStraightLine) {
   // And at most sqrt(2) times it.
   EXPECT_LE(manhattan.TravelSeconds(a, b),
             straight.TravelSeconds(a, b) * 1.4143);
+}
+
+// The TravelCostModel contract candidate pruning relies on: no trip beats
+// the crow-fly distance at MaxSpeedMps(), for points in the city box and
+// for off-box GPS fixes alike (including pairs on a shared row or column,
+// where the Manhattan legs degenerate). The jittered road network's streets
+// are faster than its SpeedMps(), so it must (and does) raise MaxSpeedMps.
+TEST(TravelTest, NeverFasterThanCrowFlyAtMaxSpeed) {
+  const StraightLineCostModel exact(10.0, 1.0);
+  const StraightLineCostModel detoured(7.0, 1.3);
+  const ManhattanCostModel manhattan(7.0);
+  const RoadNetworkCostModel road(
+      std::make_shared<RoadNetwork>(MakeGridNetwork(
+          kNycBoundingBox, 16, 16, /*speed_mps=*/8.0, /*jitter=*/0.25, 7)),
+      kNycBoundingBox, 8.0);
+  const BoundingBox& box = kNycBoundingBox;
+  const double spill = 0.5;  // degrees outside the box
+  Rng rng(20190417);
+  auto point = [&](double margin) {
+    return LatLon{rng.Uniform(box.lat_min - margin, box.lat_max + margin),
+                  rng.Uniform(box.lon_min - margin, box.lon_max + margin)};
+  };
+  int road_faster_than_reference = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double margin = i % 2 == 0 ? 0.0 : spill;
+    const LatLon a = point(margin);
+    LatLon b = point(margin);
+    if (i % 7 == 0) b.lat = a.lat;
+    if (i % 11 == 0) b.lon = a.lon;
+    for (const TravelCostModel* m :
+         std::initializer_list<const TravelCostModel*>{&exact, &detoured,
+                                                       &manhattan, &road}) {
+      EXPECT_GE(m->TravelSeconds(a, b),
+                EquirectangularMeters(a, b) / m->MaxSpeedMps())
+          << a << " -> " << b;
+      EXPECT_GE(m->TravelSeconds(b, a),
+                EquirectangularMeters(b, a) / m->MaxSpeedMps())
+          << b << " -> " << a;
+    }
+    if (road.TravelSeconds(a, b) <
+        EquirectangularMeters(a, b) / road.SpeedMps()) {
+      ++road_faster_than_reference;
+    }
+  }
+  EXPECT_EQ(exact.MaxSpeedMps(), exact.SpeedMps());
+  EXPECT_EQ(manhattan.MaxSpeedMps(), manhattan.SpeedMps());
+  // The road case is not vacuous: SpeedMps() alone would break the bound.
+  EXPECT_GT(road_faster_than_reference, 0);
 }
 
 TEST(TravelTest, ZeroDistanceZeroTime) {

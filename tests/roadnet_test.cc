@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "roadnet/graph.h"
@@ -31,6 +32,23 @@ TEST(RoadNetworkTest, BuildRejectsNegativeCost) {
   std::vector<LatLon> nodes = {{40.7, -74.0}, {40.71, -74.0}};
   auto bad = RoadNetwork::Build(nodes, {{0, 1, -1.0}});
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(RoadNetworkTest, ZeroCostStreetHasNoFiniteSpeedBound) {
+  // 0 --0s--> 1 --1s--> 2: a free street of positive length is faster
+  // than any finite speed, so a finite max_speed_mps() would make A*'s
+  // heuristic and the TravelCostModel crow-fly bound overstate how long
+  // some trips take.
+  std::vector<LatLon> nodes = {{40.70, -74.00}, {40.70, -73.99},
+                               {40.70, -73.98}};
+  auto net = RoadNetwork::Build(nodes, {{0, 1, 0.0}, {1, 2, 1.0},
+                                        {0, 2, 1.5}});
+  ASSERT_TRUE(net.ok());
+  EXPECT_TRUE(std::isinf(net->max_speed_mps()));
+  ShortestPathEngine engine(*net);
+  PathResult r = engine.AStar(0, 2);
+  ASSERT_TRUE(r.reachable);
+  EXPECT_DOUBLE_EQ(r.cost_seconds, 1.0);
 }
 
 TEST(RoadNetworkTest, CsrAdjacency) {

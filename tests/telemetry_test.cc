@@ -376,6 +376,16 @@ TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossThreads) {
     ASSERT_NE(reg.FindHistogram("engine.dispatch_seconds"), nullptr);
     EXPECT_EQ(reg.FindHistogram("engine.dispatch_seconds")->count(),
               result->num_batches);
+    // Candidate-search work counts: exact per run, so a complexity
+    // regression shows as a changed count, not as noisy wall time.
+    for (const char* name :
+         {"candidates.regions_visited", "candidates.drivers_scanned",
+          "candidates.pairs"}) {
+      ASSERT_NE(reg.FindCounter(name), nullptr) << name;
+      EXPECT_GT(reg.FindCounter(name)->value(), 0) << name;
+    }
+    EXPECT_LE(reg.FindCounter("candidates.pairs")->value(),
+              reg.FindCounter("candidates.drivers_scanned")->value());
     signatures.push_back(reg.DeterministicSignature());
     EXPECT_FALSE(signatures.back().empty());
   }
