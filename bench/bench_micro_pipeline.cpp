@@ -449,93 +449,6 @@ int Main() {
     }
   }
 
-  // ---- Shard-balance phase: static vs load-aware adaptive row-band
-  // sharding on a skewed-demand day (a rush-hour surge funnelling ~70% of
-  // the window's arrivals into the top three grid rows, via the nyc-skew
-  // catalog entry). For every thread count both modes must reproduce the
-  // serial SimResult bit-for-bit — the partition never affects results,
-  // only which worker does the work — while the per-shard telemetry
-  // (DispatchCounters → SimResult) shows the imbalance the repartitioning
-  // closes. On a 1-core box parity is the expected outcome; speedups need
-  // real cores (see hardware_concurrency).
-  struct ShardBalanceRecord {
-    std::string mode;  ///< "static" | "adaptive"
-    int threads;
-    double ms_per_batch;
-    double vs_static;  ///< static ms over this ms at the same thread count
-    double size_imbalance;  ///< mean max/mean per-shard rider count
-    double time_imbalance;  ///< mean max/mean per-shard wall time
-    int64_t repartitions;
-    bool identical;
-  };
-  const std::string skew_spec =
-      "nyc-skew:orders=" + std::to_string(engine_orders) +
-      ",drivers=" + std::to_string(engine_drivers) +
-      ",speed_mps=7,batch_interval=5,horizon_hours=" +
-      std::to_string(engine_hours) +
-      ",surge_start_hour=0.5,surge_end_hour=1.5";
-  StatusOr<Simulation> skew_sim = WorkloadCatalog::Global().Build(skew_spec);
-  if (!skew_sim.ok()) {
-    std::fprintf(stderr, "FATAL: %s\n", skew_sim.status().ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "\nshard_balance phase: skewed demand (%s)\n", skew_spec.c_str());
-  std::printf("%-10s %8s %12s %10s %9s %9s %7s %10s\n", "mode", "threads",
-              "ms/batch", "vs-static", "size-imb", "time-imb", "repart",
-              "identical");
-
-  std::vector<RunSpec> skew_specs;
-  for (const char* mode : {"static", "adaptive"}) {
-    for (int threads : thread_counts) {
-      RunSpec spec("IRG",
-                   std::string(mode) + "@" + std::to_string(threads));
-      SimConfig cfg = skew_sim->config();
-      cfg.num_threads = threads;
-      cfg.adaptive_sharding = mode == std::string("adaptive");
-      spec.config = cfg;
-      skew_specs.push_back(std::move(spec));
-    }
-  }
-  ExperimentRunner skew_runner(*skew_sim, /*num_threads=*/1);
-  StatusOr<std::vector<RunResult>> skew_runs = skew_runner.RunAll(skew_specs);
-  if (!skew_runs.ok()) {
-    std::fprintf(stderr, "FATAL: %s\n", skew_runs.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<ShardBalanceRecord> shard_records;
-  const SimResult& skew_serial = (*skew_runs)[0].result;  // static@1
-  for (size_t i = 0; i < skew_runs->size(); ++i) {
-    const bool adaptive = i >= thread_counts.size();
-    const size_t t = i % thread_counts.size();
-    const SimResult& r = (*skew_runs)[i].result;
-    const double static_ms =
-        shard_records.empty() ? 0.0
-                              : shard_records[t].ms_per_batch;
-    ShardBalanceRecord rec{adaptive ? "adaptive" : "static",
-                           thread_counts[t],
-                           r.batch_seconds.mean() * 1e3,
-                           adaptive ? static_ms / (r.batch_seconds.mean() *
-                                                   1e3)
-                                    : 1.0,
-                           r.shard_size_imbalance.mean(),
-                           r.shard_time_imbalance.mean(),
-                           r.repartitions,
-                           i == 0 || SameResult(skew_serial, r)};
-    shard_records.push_back(rec);
-    std::printf("%-10s %8d %12.2f %9.2fx %9.2f %9.2f %7lld %10s\n",
-                rec.mode.c_str(), rec.threads, rec.ms_per_batch,
-                rec.vs_static, rec.size_imbalance, rec.time_imbalance,
-                static_cast<long long>(rec.repartitions),
-                rec.identical ? "yes" : "NO");
-    if (!rec.identical) {
-      std::fprintf(stderr,
-                   "FATAL: %s sharding diverged from serial at %d threads\n",
-                   rec.mode.c_str(), rec.threads);
-      return 1;
-    }
-  }
-
   // ---- ExperimentRunner phase: wall-clock of an N-replication sweep
   // (RAND:seed=i over a one-hour slice) executed serially vs. on runner
   // threads {4}. Replications are independent runs, so the sweep must be
@@ -1051,27 +964,6 @@ int Main() {
     w.Key("build_ms_max").Number(r.build_ms_max);
     w.Key("dispatch_ms_mean").Number(r.dispatch_ms_mean);
     w.Key("num_batches").Number(r.num_batches);
-    w.Key("identical").Bool(r.identical);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  // Static vs adaptive sharding on the skewed-demand scenario. A 1-core
-  // baseline can only show parity (vs_static ≈ 1); regenerate on multicore
-  // hardware to see the win — hence the embedded hardware_concurrency.
-  w.Key("shard_balance").BeginObject();
-  w.Key("workload").String(skew_spec);
-  w.Key("hardware_concurrency").Number(ThreadPool::HardwareThreads());
-  w.Key("results").BeginArray();
-  for (const ShardBalanceRecord& r : shard_records) {
-    w.BeginObject();
-    w.Key("mode").String(r.mode);
-    w.Key("threads").Number(r.threads);
-    w.Key("ms_per_batch").Number(r.ms_per_batch);
-    w.Key("vs_static").Number(r.vs_static);
-    w.Key("size_imbalance").Number(r.size_imbalance);
-    w.Key("time_imbalance").Number(r.time_imbalance);
-    w.Key("repartitions").Number(r.repartitions);
     w.Key("identical").Bool(r.identical);
     w.EndObject();
   }

@@ -359,7 +359,8 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
         // The nyc day with a rush hour funnelling `share` of the window's
         // arrivals into rows [row_lo, row_hi], plus a row-band surge window
         // over the same rows so the forecast layer sees the concentration
-        // too — the skewed-demand stress case for adaptive sharding.
+        // too — the skewed-demand case for the row-band sharded pipeline,
+        // whose static bands then carry very unequal loads.
         GeneratorConfig gcfg;
         gcfg.grid_rows = static_cast<int>(p.GetInt("grid_rows"));
         gcfg.grid_cols = static_cast<int>(p.GetInt("grid_cols"));

@@ -1,65 +1,27 @@
 #include "geo/region_partitioner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 
 namespace mrvd {
 
 RegionPartitioner RegionPartitioner::RowBands(const Grid& grid,
                                               int num_shards) {
-  return RowBands(grid, num_shards, {});
-}
-
-RegionPartitioner RegionPartitioner::RowBands(
-    const Grid& grid, int num_shards, const std::vector<double>& weights) {
   const int rows = grid.rows();
-  const int cols = grid.cols();
-  int k = std::clamp(num_shards, 1, rows);
-
-  // Per-row weight; uniform when no (or degenerate) weights are given.
-  std::vector<double> row_weight(static_cast<size_t>(rows), 0.0);
-  double total = 0.0;
-  if (static_cast<int>(weights.size()) == grid.num_regions()) {
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        row_weight[static_cast<size_t>(r)] +=
-            weights[static_cast<size_t>(grid.RegionAt(r, c))];
-      }
-      total += row_weight[static_cast<size_t>(r)];
-    }
-  }
-  if (total <= 0.0) {
-    std::fill(row_weight.begin(), row_weight.end(), 1.0);
-    total = static_cast<double>(rows);
-  }
-
+  const int k = std::clamp(num_shards, 1, rows);
   RegionPartitioner out;
   out.shard_of_.assign(static_cast<size_t>(grid.num_regions()), 0);
   out.shard_regions_.resize(static_cast<size_t>(k));
-
-  // Walk rows accumulating weight; close band b once the cumulative weight
-  // passes (b+1)/k of the total, and force a close when the rows remaining
-  // are only just enough to give every later band one row — so no band
-  // ends up empty.
-  double cum = 0.0;
-  int band = 0;
+  // Row r joins band floor(r·k / rows): band sizes differ by at most one
+  // row, and k <= rows leaves no band empty.
   for (int r = 0; r < rows; ++r) {
-    int rows_left = rows - r;
-    if (band < k - 1 &&
-        !out.shard_regions_[static_cast<size_t>(band)].empty() &&
-        (rows_left <= k - 1 - band ||
-         cum >= (static_cast<double>(band) + 1.0) * total / k)) {
-      ++band;
-    }
-    cum += row_weight[static_cast<size_t>(r)];
-    for (int c = 0; c < cols; ++c) {
+    const int band = r * k / rows;
+    for (int c = 0; c < grid.cols(); ++c) {
       RegionId reg = grid.RegionAt(r, c);
       out.shard_of_[static_cast<size_t>(reg)] = band;
       out.shard_regions_[static_cast<size_t>(band)].push_back(reg);
     }
   }
-  assert(!out.shard_regions_.back().empty());
   return out;
 }
 

@@ -1,8 +1,7 @@
 // Groups the grid's regions a_1..a_n into K connected shards for the
 // region-sharded dispatch pipeline. Shards are contiguous row bands of the
 // grid (each band is connected under 8-neighbour adjacency, and the split
-// respects the row-major region numbering), optionally balanced by a
-// per-region weight such as the current batch's rider count.
+// respects the row-major region numbering).
 #pragma once
 
 #include <vector>
@@ -13,14 +12,9 @@ namespace mrvd {
 
 class RegionPartitioner {
  public:
-  /// Unweighted row-band split: bands of near-equal row counts.
-  /// `num_shards` is clamped to [1, grid.rows()].
+  /// Row-band split: bands of near-equal row counts, earlier bands taking
+  /// the extra rows. `num_shards` is clamped to [1, grid.rows()].
   static RegionPartitioner RowBands(const Grid& grid, int num_shards);
-
-  /// Row-band split balancing the total per-region `weights` (size
-  /// num_regions) across bands; zero total weight falls back to row counts.
-  static RegionPartitioner RowBands(const Grid& grid, int num_shards,
-                                    const std::vector<double>& weights);
 
   int num_shards() const { return static_cast<int>(shard_regions_.size()); }
 
@@ -46,14 +40,6 @@ class RegionPartitioner {
   /// True if every shard is connected under 8-neighbour adjacency
   /// (row bands are by construction; exposed for tests).
   bool ShardsConnected(const Grid& grid) const;
-
-  /// True if `other` assigns every region to the same shard index. Lets the
-  /// engine's adaptive repartitioning skip installing a rebuilt map that
-  /// could not actually move any region (hysteresis against churn when the
-  /// row banding cannot improve on the current split).
-  bool SamePartition(const RegionPartitioner& other) const {
-    return shard_of_ == other.shard_of_;
-  }
 
  private:
   RegionPartitioner() = default;

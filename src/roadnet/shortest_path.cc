@@ -110,7 +110,7 @@ RoadNetworkCostModel::RoadNetworkCostModel(
     double fallback_speed_mps)
     : net_(std::move(net)),
       snap_(*net_, box, /*rows=*/32, /*cols=*/32),
-      engine_(std::make_unique<ShortestPathEngine>(*net_)),
+      engine_(*net_),
       fallback_speed_mps_(fallback_speed_mps) {}
 
 double RoadNetworkCostModel::TravelSeconds(const LatLon& from,
@@ -120,7 +120,11 @@ double RoadNetworkCostModel::TravelSeconds(const LatLon& from,
   if (s == kInvalidNode || t == kInvalidNode) {
     return EquirectangularMeters(from, to) / fallback_speed_mps_;
   }
-  PathResult r = engine_->AStar(s, t);
+  PathResult r;
+  {
+    MutexLock lock(mu_);
+    r = engine_.AStar(s, t);
+  }
   if (!r.reachable) {
     return EquirectangularMeters(from, to) / fallback_speed_mps_;
   }

@@ -9,6 +9,7 @@
 
 #include "geo/travel.h"
 #include "roadnet/graph.h"
+#include "util/mutex.h"
 
 namespace mrvd {
 
@@ -65,7 +66,8 @@ class ShortestPathEngine {
 /// runs A*. Falls back to straight-line cost if either endpoint fails to
 /// snap (cannot happen for in-box points). Caching: none — NYC-scale grids
 /// answer in microseconds; the simulator's default remains StraightLine for
-/// full-day sweeps, with this model exercised in examples/tests.
+/// full-day sweeps, with this model exercised in examples/tests. Safe for
+/// concurrent callers: queries serialise on one reused search engine.
 class RoadNetworkCostModel : public TravelCostModel {
  public:
   RoadNetworkCostModel(std::shared_ptr<const RoadNetwork> net,
@@ -90,9 +92,11 @@ class RoadNetworkCostModel : public TravelCostModel {
 
   std::shared_ptr<const RoadNetwork> net_;
   SnapIndex snap_;
-  // Scratch buffers for the search; the model is logically const but reuses
-  // the engine between queries. Not thread-safe, like the simulator itself.
-  mutable std::unique_ptr<ShortestPathEngine> engine_;
+  // The model is logically const but reuses the engine's scratch buffers
+  // between queries. Sharded candidate generation and ExperimentRunner
+  // workers sharing one Simulation call it from several threads at once.
+  mutable Mutex mu_;
+  mutable ShortestPathEngine engine_ MRVD_GUARDED_BY(mu_);
   double fallback_speed_mps_;
 };
 

@@ -1,13 +1,35 @@
 #include "sim/assignment_applier.h"
 
+#include "telemetry/session.h"
 #include "util/logging.h"
 
 namespace mrvd {
 
 AssignmentApplier::AssignmentApplier(std::string dispatcher_name,
-                                     bool zero_pickup_travel)
+                                     bool zero_pickup_travel,
+                                     telemetry::TelemetrySession* telemetry)
     : dispatcher_name_(std::move(dispatcher_name)),
-      zero_pickup_travel_(zero_pickup_travel) {}
+      zero_pickup_travel_(zero_pickup_travel),
+      telemetry_(telemetry) {}
+
+void AssignmentApplier::Reject(double now, const Assignment& a,
+                               AssignmentRejection why,
+                               SimObserver* observer) const {
+  const char* reason = why == AssignmentRejection::kOutOfRange ? "out_of_range"
+                       : why == AssignmentRejection::kDuplicate ? "duplicate"
+                                                                : "late";
+  MRVD_LOG(Warn) << dispatcher_name_ << ": rejected " << reason
+                 << " assignment (rider " << a.rider_index << ", driver "
+                 << a.driver_index << ")";
+  // Registered on first use, so the metrics of a run without rejections
+  // are unchanged.
+  if (telemetry_ != nullptr) {
+    telemetry_->metrics()
+        .counter(std::string("engine.rejected_") + reason)
+        ->Add();
+  }
+  if (observer != nullptr) observer->OnAssignmentRejected(now, a, why);
+}
 
 void AssignmentApplier::Apply(double now, const BatchContext& ctx,
                               const std::vector<Assignment>& assignments,
@@ -20,12 +42,12 @@ void AssignmentApplier::Apply(double now, const BatchContext& ctx,
         a.rider_index >= static_cast<int>(ctx.riders().size()) ||
         a.driver_index < 0 ||
         a.driver_index >= static_cast<int>(ctx.drivers().size())) {
-      MRVD_LOG(Warn) << dispatcher_name_ << ": assignment out of range";
+      Reject(now, a, AssignmentRejection::kOutOfRange, observer);
       continue;
     }
     if (rider_taken[static_cast<size_t>(a.rider_index)] ||
         driver_taken[static_cast<size_t>(a.driver_index)]) {
-      MRVD_LOG(Warn) << dispatcher_name_ << ": duplicate assignment";
+      Reject(now, a, AssignmentRejection::kDuplicate, observer);
       continue;
     }
     const WaitingRider& r = ctx.riders()[static_cast<size_t>(a.rider_index)];
@@ -33,8 +55,7 @@ void AssignmentApplier::Apply(double now, const BatchContext& ctx,
         ctx.drivers()[static_cast<size_t>(a.driver_index)];
     double pickup_tt = zero_pickup_travel_ ? 0.0 : ctx.PickupSeconds(ad, r);
     if (!zero_pickup_travel_ && now + pickup_tt > r.pickup_deadline) {
-      // Invalid pair (violates Def. 3); dispatchers must not emit these.
-      MRVD_LOG(Warn) << dispatcher_name_ << ": invalid pair emitted";
+      Reject(now, a, AssignmentRejection::kLate, observer);
       continue;
     }
     rider_taken[static_cast<size_t>(a.rider_index)] = true;

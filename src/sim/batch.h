@@ -282,7 +282,7 @@ class ShardedBatchContext {
 
 /// Per-shard pipeline telemetry for one Dispatch: the shard's batch sizes
 /// and the wall time its parallel-phase work took. max/mean over `seconds`
-/// is the load-imbalance factor adaptive sharding exists to close.
+/// is the load-imbalance factor of the static row-band partition.
 struct ShardLoadStat {
   int64_t riders = 0;    ///< context riders whose pickup is in the shard
   int64_t drivers = 0;   ///< context drivers located in the shard

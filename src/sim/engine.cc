@@ -14,7 +14,6 @@
 #include "sim/batch_builder.h"
 #include "sim/fleet_state.h"
 #include "sim/order_book.h"
-#include "sim/shard_load_tracker.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -161,21 +160,6 @@ Status SimConfig::Validate() const {
         "num_shards must be >= 0 (0 = derive from threads), got " +
         std::to_string(num_shards));
   }
-  if (!(rebalance_threshold >= 1.0) || !std::isfinite(rebalance_threshold)) {
-    return Status::InvalidArgument(
-        "rebalance_threshold must be >= 1 and finite, got " +
-        std::to_string(rebalance_threshold));
-  }
-  if (!(load_ewma_alpha > 0.0) || load_ewma_alpha > 1.0) {
-    return Status::InvalidArgument(
-        "load_ewma_alpha must be in (0, 1], got " +
-        std::to_string(load_ewma_alpha));
-  }
-  if (!(forecast_blend >= 0.0) || !std::isfinite(forecast_blend)) {
-    return Status::InvalidArgument(
-        "forecast_blend must be >= 0 and finite, got " +
-        std::to_string(forecast_blend));
-  }
   if (!(alpha > 0.0) || !std::isfinite(alpha)) {
     return Status::InvalidArgument("alpha (fee rate) must be positive and "
                                    "finite, got " + std::to_string(alpha));
@@ -261,27 +245,20 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   int threads = config_.num_threads == 0 ? ThreadPool::HardwareThreads()
                                          : config_.num_threads;
   std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<RegionPartitioner> partitioner;
-  std::unique_ptr<ShardLoadTracker> load_tracker;
+  std::optional<RegionPartitioner> partitioner;
   BatchExecution execution;
-  int shards = 0;
   if (threads > 1) {
-    shards = config_.ResolveShards(threads);
     pool = std::make_unique<ThreadPool>(threads);
-    partitioner = std::make_unique<RegionPartitioner>(
-        RegionPartitioner::RowBands(grid_, shards));
+    partitioner.emplace(
+        RegionPartitioner::RowBands(grid_, config_.ResolveShards(threads)));
     execution.pool = pool.get();
-    execution.partitioner = partitioner.get();
-    if (config_.adaptive_sharding) {
-      load_tracker = std::make_unique<ShardLoadTracker>(
-          grid_.num_regions(), config_.load_ewma_alpha,
-          config_.forecast_blend);
-    }
+    execution.partitioner = &*partitioner;
   }
   BatchBuilder builder(grid_, cost_model_, forecast_, config_.window_seconds,
                        config_.reneging_beta, config_.candidate_mode,
                        pool != nullptr ? &execution : nullptr);
-  AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel);
+  AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel,
+                            config_.telemetry);
 
   // Telemetry (null session = off: every site below degrades to a pointer
   // check). Metrics are resolved once; the registry is written only from
@@ -292,7 +269,6 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   telemetry::TelemetrySession* const tele = config_.telemetry;
   telemetry::Counter* tele_batches = nullptr;
   telemetry::Counter* tele_assignments = nullptr;
-  telemetry::Counter* tele_repartitions = nullptr;
   telemetry::LogHistogram* tele_dispatch_hist = nullptr;
   telemetry::LogHistogram* tele_build_hist = nullptr;
   telemetry::LogHistogram* tele_shard_hist = nullptr;
@@ -300,8 +276,6 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     telemetry::MetricsRegistry& reg = tele->metrics();
     tele_batches = reg.counter("engine.batches");
     tele_assignments = reg.counter("engine.assignments");
-    tele_repartitions =
-        reg.counter("engine.repartitions", telemetry::MetricScope::kExecution);
     tele_dispatch_hist = reg.histogram(
         "engine.dispatch_seconds", telemetry::MetricScope::kDeterministic);
     tele_build_hist = reg.histogram("engine.batch_build_seconds",
@@ -361,31 +335,7 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
       break;  // nothing left to do
     }
 
-    // 3. Load-aware repartition: when the tracked demand's imbalance over
-    //    the current shard map crosses the hysteresis threshold, rebuild
-    //    the row bands weight-balanced and install them before this batch's
-    //    context (and its cached shard index) is materialised. Results are
-    //    partition-invariant, so this only moves work between workers.
-    if (load_tracker != nullptr && load_tracker->has_signal()) {
-      const double imbalance =
-          ShardLoadTracker::Imbalance(*partitioner, load_tracker->weights());
-      if (imbalance > config_.rebalance_threshold) {
-        auto rebalanced =
-            std::make_unique<RegionPartitioner>(RegionPartitioner::RowBands(
-                grid_, shards, load_tracker->weights()));
-        if (!rebalanced->SamePartition(*partitioner)) {
-          const double after = ShardLoadTracker::Imbalance(
-              *rebalanced, load_tracker->weights());
-          partitioner = std::move(rebalanced);
-          execution.partitioner = partitioner.get();
-          if (tele_repartitions != nullptr) tele_repartitions->Add();
-          observers.OnRepartition(now, partitioner->num_shards(), imbalance,
-                                  after);
-        }
-      }
-    }
-
-    // 4. Build the batch context off the incremental counters.
+    // 3. Build the batch context off the incremental counters.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
     Stopwatch build_watch;
     std::unique_ptr<BatchContext> ctx;
@@ -397,13 +347,12 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     timings.build_seconds = build_seconds;
     ctx->SetTelemetry(tele);
     observers.OnBatchBuilt(now, build_seconds, *ctx);
-    if (load_tracker != nullptr) load_tracker->Observe(ctx->snapshots());
 
-    // 5. Capture idle-time estimates for freshly (re)joined drivers.
+    // 4. Capture idle-time estimates for freshly (re)joined drivers.
     fleet.CaptureIdleEstimates(config_.record_idle_samples ? ctx.get()
                                                            : nullptr);
 
-    // 6. Dispatch.
+    // 5. Dispatch.
     std::vector<Assignment> assignments;
     Stopwatch dispatch_watch;
     {
@@ -424,7 +373,7 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
       }
     }
 
-    // 7. Apply assignments and compact the served riders out of the book.
+    // 6. Apply assignments and compact the served riders out of the book.
     stage_begin();
     {
       telemetry::TraceSpan span(tele, "assignment_apply");

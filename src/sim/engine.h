@@ -62,28 +62,6 @@ struct SimConfig {
   /// (clamped to the grid's row count by the partitioner).
   int num_shards = 0;
 
-  /// Load-aware adaptive sharding: the engine tracks per-region demand (an
-  /// EWMA of each batch's observed waiting riders blended with the
-  /// surge-scaled forecast of the scheduling window) and rebuilds the
-  /// row-band partition weight-balanced between batches whenever the
-  /// tracked load's imbalance over the current shard map (max-shard weight
-  /// over mean-shard weight) exceeds rebalance_threshold. Results are
-  /// bit-identical either way — sharding is exact for any partition — so
-  /// this is purely a parallel-throughput knob. No effect on serial runs.
-  bool adaptive_sharding = false;
-
-  /// Hysteresis trigger for adaptive_sharding, >= 1: a repartition is
-  /// considered only when measured imbalance exceeds this factor, and only
-  /// installed when the rebuilt bands actually move a region.
-  double rebalance_threshold = 1.25;
-
-  /// EWMA weight of the newest batch's observed rider counts, in (0, 1].
-  double load_ewma_alpha = 0.3;
-
-  /// Weight of forecast demand (already surge-scaled by the BatchBuilder)
-  /// blended on top of the observed EWMA, >= 0.
-  double forecast_blend = 1.0;
-
   /// Borrowed telemetry session (SimulationBuilder::WithTelemetry). Null =
   /// telemetry off: every instrumentation site degrades to a pointer
   /// check. When set, the engine records stage trace spans and feeds the
@@ -104,8 +82,7 @@ struct SimConfig {
 
   /// Rejects configs the engine cannot run: non-positive batch_interval /
   /// window_seconds / horizon_seconds, negative num_threads / num_shards,
-  /// out-of-range adaptive-sharding knobs, negative reneging_beta or
-  /// non-positive alpha. Called by
+  /// negative reneging_beta or non-positive alpha. Called by
   /// SimulationBuilder::Build() (returning the Status to the caller) and by
   /// Simulator's constructor (which aborts on an invalid config — reaching
   /// the engine with one is a programming error).

@@ -43,6 +43,12 @@ struct SimResult {
   int64_t driver_sign_offs = 0;
   int64_t surge_changes = 0;  ///< surge-window begin/end transitions
 
+  // Dispatcher-emitted pairs the engine refused, by AssignmentRejection
+  // reason; none of them was applied. Zero for a correct dispatcher.
+  int64_t rejected_out_of_range = 0;
+  int64_t rejected_duplicate = 0;
+  int64_t rejected_late = 0;  ///< would miss the Def.-3 pickup deadline
+
   // Batch processing (Figures 7b-10b).
   int64_t num_batches = 0;
   RunningStats batch_seconds;        ///< dispatcher time per batch
@@ -78,11 +84,9 @@ struct SimResult {
   // outcome, which is partition-invariant). Per batch, imbalance = max
   // shard over mean shard of the pipeline's per-shard rider counts
   // (shard_size_imbalance) and parallel-phase wall times
-  // (shard_time_imbalance); repartitions counts the adaptive-sharding
-  // rebuilds (SimConfig::adaptive_sharding).
+  // (shard_time_imbalance) under the static row-band partition.
   RunningStats shard_size_imbalance;
   RunningStats shard_time_imbalance;
-  int64_t repartitions = 0;
 
   double ServiceRate() const {
     return total_orders == 0

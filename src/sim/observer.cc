@@ -71,6 +71,22 @@ void MetricsCollector::OnAssignmentApplied(double /*now*/,
   result_.served_wait_seconds.Add(e.wait_seconds);
 }
 
+void MetricsCollector::OnAssignmentRejected(double /*now*/,
+                                            const Assignment& /*a*/,
+                                            AssignmentRejection why) {
+  switch (why) {
+    case AssignmentRejection::kOutOfRange:
+      ++result_.rejected_out_of_range;
+      break;
+    case AssignmentRejection::kDuplicate:
+      ++result_.rejected_duplicate;
+      break;
+    case AssignmentRejection::kLate:
+      ++result_.rejected_late;
+      break;
+  }
+}
+
 void MetricsCollector::OnRiderReneged(double /*now*/, const Order& /*order*/) {
   ++result_.reneged_orders;
 }
@@ -94,12 +110,6 @@ void MetricsCollector::OnSurgeChange(double /*now*/,
                                      const SurgeWindow& /*window*/,
                                      bool /*active*/) {
   ++result_.surge_changes;
-}
-
-void MetricsCollector::OnRepartition(double /*now*/, int /*num_shards*/,
-                                     double /*imbalance_before*/,
-                                     double /*imbalance_after*/) {
-  ++result_.repartitions;
 }
 
 void MetricsCollector::OnRunEnd(double /*end_time*/,

@@ -63,12 +63,20 @@ struct AssignmentEvent {
   double busy_until = 0.0;       ///< when the driver rejoins the platform
 };
 
+/// Why the AssignmentApplier refused a pair the dispatcher emitted.
+enum class AssignmentRejection {
+  kOutOfRange,  ///< rider or driver index outside the batch context
+  kDuplicate,   ///< rider or driver already assigned earlier in the batch
+  kLate,        ///< pickup would miss the rider's Def.-3 deadline
+};
+
 /// Engine lifecycle hooks. All hooks default to no-ops; implement what you
 /// need. Per batch the engine fires, in order: OnBatchBuilt (context fully
 /// materialised, before dispatch), OnDispatchDone (assignments selected,
-/// not yet applied), OnAssignmentApplied (once per accepted pair, in
-/// application order), OnBatchEnd. OnRiderReneged fires as riders expire,
-/// before the batch is built; OnRunEnd fires once after the horizon.
+/// not yet applied), OnAssignmentApplied / OnAssignmentRejected (once per
+/// emitted pair, in emission order), OnBatchEnd. OnRiderReneged fires as
+/// riders expire, before the batch is built; OnRunEnd fires once after the
+/// horizon.
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
@@ -96,6 +104,13 @@ class SimObserver {
   /// One accepted assignment was applied to the fleet and order book.
   virtual void OnAssignmentApplied(double now, const AssignmentEvent& e) {
     (void)now, (void)e;
+  }
+
+  /// The dispatcher emitted `a`, and the engine refused it: nothing was
+  /// applied. A correct dispatcher never triggers this.
+  virtual void OnAssignmentRejected(double now, const Assignment& a,
+                                    AssignmentRejection why) {
+    (void)now, (void)a, (void)why;
   }
 
   /// A waiting rider's pickup deadline passed before any assignment.
@@ -127,17 +142,6 @@ class SimObserver {
   virtual void OnSurgeChange(double now, const SurgeWindow& window,
                              bool active) {
     (void)now, (void)window, (void)active;
-  }
-
-  /// Adaptive sharding rebuilt the shard map between batches (fires before
-  /// the batch at `now` is built). `imbalance_before`/`imbalance_after` are
-  /// the tracked demand's max-shard/mean-shard load factor under the old
-  /// and new partition.
-  virtual void OnRepartition(double now, int num_shards,
-                             double imbalance_before,
-                             double imbalance_after) {
-    (void)now, (void)num_shards;
-    (void)imbalance_before, (void)imbalance_after;
   }
 
   /// The batch's per-stage wall-time split. Fires after every stage of the
@@ -191,6 +195,10 @@ class ObserverList : public SimObserver {
   void OnAssignmentApplied(double now, const AssignmentEvent& e) override {
     for (SimObserver* o : observers_) o->OnAssignmentApplied(now, e);
   }
+  void OnAssignmentRejected(double now, const Assignment& a,
+                            AssignmentRejection why) override {
+    for (SimObserver* o : observers_) o->OnAssignmentRejected(now, a, why);
+  }
   void OnRiderReneged(double now, const Order& order) override {
     for (SimObserver* o : observers_) o->OnRiderReneged(now, order);
   }
@@ -206,12 +214,6 @@ class ObserverList : public SimObserver {
   void OnSurgeChange(double now, const SurgeWindow& window,
                      bool active) override {
     for (SimObserver* o : observers_) o->OnSurgeChange(now, window, active);
-  }
-  void OnRepartition(double now, int num_shards, double imbalance_before,
-                     double imbalance_after) override {
-    for (SimObserver* o : observers_) {
-      o->OnRepartition(now, num_shards, imbalance_before, imbalance_after);
-    }
   }
   void OnBatchTimings(double now, const BatchTimings& timings) override {
     for (SimObserver* o : observers_) o->OnBatchTimings(now, timings);
@@ -246,14 +248,14 @@ class MetricsCollector final : public SimObserver {
                       const std::vector<Assignment>& assignments) override;
   void OnDispatchCounters(double now, const DispatchCounters& c) override;
   void OnAssignmentApplied(double now, const AssignmentEvent& e) override;
+  void OnAssignmentRejected(double now, const Assignment& a,
+                            AssignmentRejection why) override;
   void OnRiderReneged(double now, const Order& order) override;
   void OnDriverShiftChange(double now, DriverId driver_id,
                            bool signed_on) override;
   void OnRiderCancelled(double now, const Order& order) override;
   void OnSurgeChange(double now, const SurgeWindow& window,
                      bool active) override;
-  void OnRepartition(double now, int num_shards, double imbalance_before,
-                     double imbalance_after) override;
   void OnRunEnd(double end_time, int64_t never_dispatched) override;
 
   /// Moves the finished result out (the collector is spent afterwards).

@@ -299,13 +299,12 @@ TEST(CandidateOracleTest, MatchesBruteForceExactly) {
   struct CostCase {
     const char* name;
     const TravelCostModel* model;
-    bool thread_safe;  // RoadNetworkCostModel reuses one search engine
   };
-  const CostCase costs[] = {{"tight", &tight, true},
-                            {"detour", &detour, true},
-                            {"manhattan", &manhattan, true},
-                            {"road", &road, false},
-                            {"unbounded", &unbounded, true}};
+  const CostCase costs[] = {{"tight", &tight},
+                            {"detour", &detour},
+                            {"manhattan", &manhattan},
+                            {"road", &road},
+                            {"unbounded", &unbounded}};
   ThreadPool pool(4);
 
   int64_t total_pairs = 0;
@@ -325,8 +324,6 @@ TEST(CandidateOracleTest, MatchesBruteForceExactly) {
           const std::vector<CandidatePair> want = BruteForcePairs(*ctx);
           total_pairs += static_cast<int64_t>(want.size());
           ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " serial");
-          if (!cost.thread_safe) continue;
-
           ctx->SetExecution(&exec);
           ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " 4 threads");
           std::vector<CandidatePair> flattened;

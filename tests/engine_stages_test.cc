@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dispatch/dispatchers.h"
@@ -17,6 +18,7 @@
 #include "sim/engine.h"
 #include "sim/fleet_state.h"
 #include "sim/order_book.h"
+#include "telemetry/session.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -539,6 +541,137 @@ TEST(SimObserverTest, HooksAgreeWithCollectedMetrics) {
   EXPECT_TRUE(obs.events_consistent);
   EXPECT_TRUE(obs.build_seconds_nonnegative);
   EXPECT_EQ(r.batch_build_seconds.count(), r.num_batches);
+}
+
+// Emits, in the first batch that holds both a valid pair and a disjoint
+// Def.-3-late one, the valid pair followed by one out-of-range, one
+// duplicate and the late pair; nothing afterwards.
+class RogueDispatcher : public Dispatcher {
+ public:
+  std::string name() const override { return "ROGUE"; }
+  void Dispatch(const BatchContext& ctx,
+                std::vector<Assignment>* out) override {
+    out->clear();
+    if (done_) return;
+    const int riders = static_cast<int>(ctx.riders().size());
+    const int drivers = static_cast<int>(ctx.drivers().size());
+    auto valid_pair = [&](int i, int j) {
+      return ctx.IsValidPair(ctx.drivers()[static_cast<size_t>(j)],
+                             ctx.riders()[static_cast<size_t>(i)]);
+    };
+    for (int i0 = 0; i0 < riders; ++i0) {
+      for (int j0 = 0; j0 < drivers; ++j0) {
+        if (!valid_pair(i0, j0)) continue;
+        for (int i = 0; i < riders; ++i) {
+          for (int j = 0; j < drivers; ++j) {
+            if (i == i0 || j == j0 || valid_pair(i, j)) continue;
+            valid = {i0, j0};
+            out_of_range = {riders, j0};
+            duplicate = {i0, j};
+            late = {i, j};
+            *out = {valid, out_of_range, duplicate, late};
+            done_ = true;
+            return;
+          }
+        }
+      }
+    }
+  }
+
+  Assignment valid, out_of_range, duplicate, late;
+
+ private:
+  bool done_ = false;
+};
+
+class RejectionRecorder : public SimObserver {
+ public:
+  void OnAssignmentApplied(double /*now*/, const AssignmentEvent& e) override {
+    applied.push_back({e.rider_index, e.driver_index});
+  }
+  void OnAssignmentRejected(double /*now*/, const Assignment& a,
+                            AssignmentRejection why) override {
+    rejected.push_back({a, why});
+  }
+
+  std::vector<Assignment> applied;
+  std::vector<std::pair<Assignment, AssignmentRejection>> rejected;
+};
+
+bool SamePair(const Assignment& a, const Assignment& b) {
+  return a.rider_index == b.rider_index && a.driver_index == b.driver_index;
+}
+
+/// Runs a small synthetic day under `dispatcher` with a metrics-only
+/// telemetry session attached.
+SimResult RunWithTelemetry(Dispatcher& dispatcher, SimObserver* observer,
+                           telemetry::TelemetrySession* session) {
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 800.0;
+  gcfg.seed = 11;
+  NycLikeGenerator gen(gcfg);
+  Workload workload = gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/30);
+  StraightLineCostModel cost(7.0, 1.3);
+  SimConfig cfg;
+  cfg.horizon_seconds = 3 * 3600.0;
+  cfg.batch_interval = 30.0;
+  cfg.telemetry = session;
+  SimResult r = Simulator(cfg, workload, gen.grid(), cost, nullptr)
+                    .Run(dispatcher, observer);
+  session->Finish();
+  return r;
+}
+
+telemetry::TelemetryConfig MetricsOnly() {
+  telemetry::TelemetryConfig config;
+  config.tracing = false;
+  config.async_drain = false;
+  return config;
+}
+
+TEST(AssignmentApplierTest, RejectedPairsAreCountedAndNeverApplied) {
+  RogueDispatcher rogue;
+  RejectionRecorder obs;
+  telemetry::TelemetrySession session(MetricsOnly());
+  SimResult r = RunWithTelemetry(rogue, &obs, &session);
+
+  ASSERT_GE(rogue.late.rider_index, 0) << "no late pair was found";
+  EXPECT_EQ(r.rejected_out_of_range, 1);
+  EXPECT_EQ(r.rejected_duplicate, 1);
+  EXPECT_EQ(r.rejected_late, 1);
+  for (const char* name : {"engine.rejected_out_of_range",
+                           "engine.rejected_duplicate",
+                           "engine.rejected_late"}) {
+    const telemetry::Counter* c = session.metrics().FindCounter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), 1) << name;
+  }
+
+  // Only the valid pair was applied; the rejections arrive in emission
+  // order with their reasons.
+  ASSERT_EQ(obs.applied.size(), 1u);
+  EXPECT_TRUE(SamePair(obs.applied[0], rogue.valid));
+  EXPECT_EQ(r.served_orders, 1);
+  ASSERT_EQ(obs.rejected.size(), 3u);
+  EXPECT_TRUE(SamePair(obs.rejected[0].first, rogue.out_of_range));
+  EXPECT_EQ(obs.rejected[0].second, AssignmentRejection::kOutOfRange);
+  EXPECT_TRUE(SamePair(obs.rejected[1].first, rogue.duplicate));
+  EXPECT_EQ(obs.rejected[1].second, AssignmentRejection::kDuplicate);
+  EXPECT_TRUE(SamePair(obs.rejected[2].first, rogue.late));
+  EXPECT_EQ(obs.rejected[2].second, AssignmentRejection::kLate);
+}
+
+TEST(AssignmentApplierTest, CleanRunRegistersNoRejectionCounters) {
+  auto dispatcher = MakeNearestDispatcher();
+  telemetry::TelemetrySession session(MetricsOnly());
+  SimResult r = RunWithTelemetry(*dispatcher, nullptr, &session);
+
+  ASSERT_GT(r.served_orders, 0);
+  EXPECT_EQ(r.rejected_out_of_range + r.rejected_duplicate + r.rejected_late,
+            0);
+  // Counters appear only on a rejection, so a clean run's metrics document
+  // (a campaign's per-cell telemetry file) is unchanged by them.
+  EXPECT_EQ(session.metrics().FindCounter("engine.rejected_late"), nullptr);
 }
 
 }  // namespace

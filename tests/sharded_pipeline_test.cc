@@ -12,9 +12,10 @@
 #include "api/dispatcher_registry.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/pipeline.h"
-#include "registry_test_helpers.h"
 #include "geo/region_partitioner.h"
 #include "geo/travel.h"
+#include "registry_test_helpers.h"
+#include "scenario/generator.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "util/rng.h"
@@ -54,23 +55,6 @@ TEST(RegionPartitionerTest, ShardsAreConnected) {
     RegionPartitioner parts = RegionPartitioner::RowBands(grid, k);
     EXPECT_TRUE(parts.ShardsConnected(grid)) << k << " shards";
   }
-}
-
-TEST(RegionPartitionerTest, WeightedSplitBalancesLoad) {
-  Grid grid(kNycBoundingBox, 8, 8);
-  // All weight in the top half: the bands must concentrate there.
-  std::vector<double> weights(static_cast<size_t>(grid.num_regions()), 0.0);
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      weights[static_cast<size_t>(grid.RegionAt(r, c))] = 10.0;
-    }
-  }
-  RegionPartitioner parts = RegionPartitioner::RowBands(grid, 4, weights);
-  ASSERT_EQ(parts.num_shards(), 4);
-  EXPECT_TRUE(parts.ShardsConnected(grid));
-  // The weighted rows (0..3) should not all land in one shard.
-  EXPECT_NE(parts.shard_of(grid.RegionAt(0, 0)),
-            parts.shard_of(grid.RegionAt(3, 0)));
 }
 
 // ------------------------------------------------------ batch equivalence
@@ -229,38 +213,80 @@ TEST_F(ShardedPipelineTest, SpeculativePhaseWarmsInternalPairs) {
 
 // ---------------------------------------------------- engine equivalence
 
+/// Runs each of `names` through the real engine serially and at `threads`:
+/// num_threads must not change a single aggregate (assignments are
+/// identical batch by batch). "UPPER" runs with zero pickup travel.
+void ExpectShardedRunsMatchSerial(const Workload& workload, const Grid& grid,
+                                  const ScenarioScript* script,
+                                  SimConfig serial,
+                                  const std::vector<std::string>& names,
+                                  int threads) {
+  StraightLineCostModel cost(7.0, 1.3);
+  for (const std::string& name : names) {
+    serial.num_threads = 1;
+    serial.zero_pickup_travel = name == "UPPER";
+    SimConfig sharded = serial;
+    sharded.num_threads = threads;
+    Simulator serial_sim(serial, workload, grid, cost, nullptr);
+    Simulator sharded_sim(sharded, workload, grid, cost, nullptr);
+    auto d1 = MakeSeeded(name);
+    auto d2 = MakeSeeded(name);
+    ASSERT_NE(d1, nullptr) << name;
+    SimResult a = script ? serial_sim.Run(*d1, *script) : serial_sim.Run(*d1);
+    SimResult b =
+        script ? sharded_sim.Run(*d2, *script) : sharded_sim.Run(*d2);
+    EXPECT_EQ(a.served_orders, b.served_orders) << name;
+    EXPECT_EQ(a.reneged_orders, b.reneged_orders) << name;
+    EXPECT_EQ(a.cancelled_orders, b.cancelled_orders) << name;
+    EXPECT_EQ(a.total_orders, b.total_orders) << name;
+    EXPECT_EQ(a.total_revenue, b.total_revenue) << name;  // bit-exact
+    EXPECT_EQ(a.num_batches, b.num_batches) << name;
+    EXPECT_EQ(a.served_wait_seconds.count(), b.served_wait_seconds.count())
+        << name;
+    EXPECT_EQ(a.served_wait_seconds.mean(), b.served_wait_seconds.mean())
+        << name;
+  }
+}
+
 TEST(ShardedEngineTest, FullDayRunMatchesSerialExactly) {
-  // A small synthetic day through the real engine: num_threads must not
-  // change a single aggregate (assignments are identical batch by batch).
   GeneratorConfig gcfg;
   gcfg.orders_per_day = 600.0;
   gcfg.seed = 20190417;
   NycLikeGenerator gen(gcfg);
   Workload workload = gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/40);
-  StraightLineCostModel cost(7.0, 1.3);
-
   SimConfig base;
   base.horizon_seconds = 6 * 3600.0;
   base.batch_interval = 30.0;
+  ExpectShardedRunsMatchSerial(workload, gen.grid(), /*script=*/nullptr,
+                               base, {"IRG", "LS", "SHORT"}, /*threads=*/3);
+}
 
-  SimConfig serial_cfg = base;
-  serial_cfg.num_threads = 1;
-  SimConfig sharded_cfg = base;
-  sharded_cfg.num_threads = 3;
+TEST(ShardedEngineTest, SkewedDayMatchesSerialAcrossRoster) {
+  // A scripted rush hour funnels ~70% of the window's arrivals into grid
+  // rows 0..2, so the static row bands carry very unequal loads.
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 3000.0;  // scaled by the short horizon below
+  gcfg.seed = 20190417;
+  NycLikeGenerator gen(gcfg);
+  const Grid& grid = gen.grid();
+  const double surge_start = 1800.0;
+  const double surge_end = 7200.0;
+  const Workload workload = SkewWorkloadRows(
+      gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/40), grid,
+      surge_start, surge_end, /*share=*/0.7, /*row_lo=*/0, /*row_hi=*/2,
+      /*seed=*/gcfg.seed ^ 0x5EEDULL);
+  ScenarioDayConfig scfg;
+  scfg.surges.push_back(RowBandSurge(grid, 0, 2, surge_start, surge_end,
+                                     /*multiplier=*/2.0));
+  const ScenarioScript script = BuildScenarioDay(workload, scfg);
 
-  Simulator serial_sim(serial_cfg, workload, gen.grid(), cost, nullptr);
-  Simulator sharded_sim(sharded_cfg, workload, gen.grid(), cost, nullptr);
-
-  for (const char* name : {"IRG", "LS", "SHORT"}) {
-    auto d1 = MakeSeeded(name);
-    auto d2 = MakeSeeded(name);
-    SimResult a = serial_sim.Run(*d1);
-    SimResult b = sharded_sim.Run(*d2);
-    EXPECT_EQ(a.served_orders, b.served_orders) << name;
-    EXPECT_EQ(a.reneged_orders, b.reneged_orders) << name;
-    EXPECT_EQ(a.total_revenue, b.total_revenue) << name;  // bit-exact
-    EXPECT_EQ(a.num_batches, b.num_batches) << name;
-  }
+  std::vector<std::string> roster = test::RosterWithoutZeroPickup();
+  roster.push_back("UPPER");
+  SimConfig base;
+  base.horizon_seconds = 2.5 * 3600.0;
+  base.batch_interval = 30.0;
+  ExpectShardedRunsMatchSerial(workload, grid, &script, base, roster,
+                               /*threads=*/4);
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ TEST(MetricsRegistryTest, LookupsReturnStablePointers) {
 TEST(MetricsRegistryTest, SignatureCoversOnlyDeterministicMetrics) {
   MetricsRegistry reg;
   reg.counter("det.events")->Add(7);
-  reg.counter("exec.repartitions", MetricScope::kExecution)->Add(3);
+  reg.counter("exec.retries", MetricScope::kExecution)->Add(3);
   reg.histogram("det.samples", MetricScope::kDeterministic)->Add(0.25);
   reg.histogram("exec.seconds")->Add(1.5);  // kExecution default
   reg.gauge("exec.depth")->Set(4.0);
