@@ -1,38 +1,35 @@
-// Micro-benchmark of the region-sharded parallel dispatch pipeline:
-// serial vs. sharded per-batch latency for IRG / LS / SHORT on one
-// synthetic NYC-scale batch, swept over thread counts — plus an
-// engine-phase section that drives the staged engine over a synthetic
-// day-slice and times batch *construction* (incremental snapshots +
-// shard-parallel materialisation) separately from dispatch, via the
-// engine's SimResult::batch_build_seconds series.
+// Micro-benchmark of the batch dispatch path and the layers around it:
+// serial per-batch latency for IRG / LS / SHORT on one synthetic NYC-scale
+// batch, plus an engine-phase section that drives the staged engine over a
+// synthetic day-slice and times batch *construction* (incremental
+// snapshots + materialisation) separately from dispatch, via the engine's
+// SimResult::batch_build_seconds series. Every batch runs on the calling
+// thread; across-run parallelism is measured by the replication sweep.
 //
 // Emits BENCH_pipeline.json (override the path with MRVD_BENCH_JSON) with
-// one record per (dispatcher, threads): median per-batch milliseconds and
-// speedup over the serial run, and one engine record per (dispatcher,
-// threads) with mean construction/dispatch milliseconds. Every sharded run
-// is also checked for bit-identical output against the serial baseline
-// (assignments per batch, SimResult aggregates per run), so the bench
-// doubles as a large-scale equivalence harness.
+// one record per dispatcher (median per-batch milliseconds and the
+// deterministic assignment count) and one engine record per dispatcher
+// with mean construction/dispatch milliseconds.
 //
 // The engine phase and the replication sweep run through the experiment
 // API (SimulationBuilder + ExperimentRunner), so the bench doubles as an
 // at-scale exercise of that layer; the "experiment_runner" series times an
-// N-replication sweep at runner threads {1, 4} against serial. The same
-// sweep is then routed through the campaign layer (CampaignRunner over a
+// N-replication sweep at runner threads {1, 4}, each arm long enough
+// (>= 1 s on 4 vCPUs) for the speedup to mean something. The same sweep
+// is then routed through the campaign layer (CampaignRunner over a
 // WorkloadCatalog spec, artifacts in a scratch dir) so the grid overhead —
 // catalog build, content keys, artifact writes, manifest — is on the perf
-// record, including an all-loaded resume timing; campaign cells must stay
-// bit-identical to the ExperimentRunner serial baseline.
+// record, including an all-loaded resume timing; runner arms and campaign
+// cells must stay bit-identical to the ExperimentRunner serial baseline.
 //
 // Scale knobs (env):
 //   MRVD_BENCH_RIDERS         riders in the batch        (default 1200)
 //   MRVD_BENCH_DRIVERS        drivers in the batch       (default 900)
 //   MRVD_BENCH_REPS           timed repetitions          (default 5)
-//   MRVD_BENCH_THREADS        max threads swept          (default 8)
 //   MRVD_BENCH_ENGINE_ORDERS  engine-phase orders/day    (default 20000)
 //   MRVD_BENCH_ENGINE_DRIVERS engine-phase fleet size    (default 150)
 //   MRVD_BENCH_ENGINE_HOURS   engine-phase horizon hours (default 2)
-//   MRVD_BENCH_SWEEP_REPS     replication-sweep size     (default 6)
+//   MRVD_BENCH_SWEEP_REPS     replication-sweep size     (default 24)
 //   MRVD_BENCH_STREAM_ORDERS  streaming-phase trace size (default 200000;
 //                             set 10000000 to reproduce the city-scale
 //                             flat-RSS demonstration)
@@ -52,7 +49,6 @@
 #include "api/api.h"
 #include "campaign/campaign.h"
 #include "dispatch/dispatchers.h"
-#include "geo/region_partitioner.h"
 #include "geo/travel.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
@@ -137,22 +133,18 @@ std::unique_ptr<BatchContext> MakeBatch(const Grid& grid,
 
 struct Record {
   std::string dispatcher;
-  int threads;
   double median_ms;
-  double speedup;
-  bool identical;
+  int64_t assignments;  ///< deterministic: same on every host
 };
 
 /// Engine-phase record: per-batch construction vs. dispatch time through
 /// the staged engine on one synthetic day-slice.
 struct EngineRecord {
   std::string dispatcher;
-  int threads;
   double build_ms_mean;
   double build_ms_max;
   double dispatch_ms_mean;
   int64_t num_batches;
-  bool identical;
 };
 
 double MedianMs(std::vector<double>& ms) {
@@ -160,7 +152,7 @@ double MedianMs(std::vector<double>& ms) {
   return ms[ms.size() / 2];
 }
 
-/// Serial-vs-sharded SimResult equivalence (the bit-exact aggregates).
+/// SimResult equivalence across runner arms (the bit-exact aggregates).
 bool SameResult(const SimResult& a, const SimResult& b) {
   return a.served_orders == b.served_orders &&
          a.reneged_orders == b.reneged_orders &&
@@ -176,192 +168,43 @@ int Main() {
   const int num_riders = EnvInt("MRVD_BENCH_RIDERS", 1200, 0);
   const int num_drivers = EnvInt("MRVD_BENCH_DRIVERS", 900, 0);
   const int reps = EnvInt("MRVD_BENCH_REPS", 5, 1);
-  const int max_threads = EnvInt("MRVD_BENCH_THREADS", 8, 1);
   const uint64_t seed = 20190417;
 
   Grid grid = MakeNycGrid16x16();
   StraightLineCostModel cost(7.0, 1.3);
 
-  std::vector<int> thread_counts{1};
-  for (int t = 2; t <= max_threads; t *= 2) thread_counts.push_back(t);
-
   const char* sanitizer = MRVD_SANITIZER[0] != '\0' ? MRVD_SANITIZER : "none";
   std::printf("pipeline micro-bench: %d riders, %d drivers, %d reps "
               "(build=%s sanitizer=%s)\n",
               num_riders, num_drivers, reps, MRVD_BUILD_TYPE, sanitizer);
-  std::printf("%-10s %8s %12s %9s %10s\n", "dispatcher", "threads",
-              "ms/batch", "speedup", "identical");
+  std::printf("%-10s %12s %12s\n", "dispatcher", "ms/batch", "assignments");
 
   std::vector<Record> records;
   for (const char* name : {"IRG", "LS", "SHORT"}) {
-    double serial_ms = 0.0;
-    std::vector<Assignment> serial_out;
-    for (int threads : thread_counts) {
-      // Pool and partitioner are built once and reused across reps — the
-      // same lifecycle Simulator::Run gives them across batches. The shard
-      // count is routed through SimConfig::ResolveShards so the bench
-      // measures exactly the partition the engine would run.
-      std::unique_ptr<ThreadPool> pool;
-      std::unique_ptr<RegionPartitioner> parts;
-      BatchExecution exec;
-      if (threads > 1) {
-        pool = std::make_unique<ThreadPool>(threads);
-        parts = std::make_unique<RegionPartitioner>(
-            RegionPartitioner::RowBands(grid,
-                                        SimConfig().ResolveShards(threads)));
-        exec.pool = pool.get();
-        exec.partitioner = parts.get();
-      }
-      std::vector<double> ms;
-      std::vector<Assignment> out;
-      for (int rep = 0; rep < reps; ++rep) {
-        // Fresh context per rep: the ET memo table must start cold, as it
-        // does for every batch of a real run.
-        auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
-        if (pool != nullptr) ctx->SetExecution(&exec);
-        auto dispatcher = MakeDispatcherByName(name);
-        out.clear();
-        Stopwatch watch;
-        dispatcher->Dispatch(*ctx, &out);
-        ms.push_back(watch.ElapsedSeconds() * 1e3);
-      }
-      double median = MedianMs(ms);
-      bool identical = true;
-      if (threads == 1) {
-        serial_ms = median;
-        serial_out = out;
-      } else {
-        identical = out.size() == serial_out.size();
-        for (size_t i = 0; identical && i < out.size(); ++i) {
-          identical = out[i].rider_index == serial_out[i].rider_index &&
-                      out[i].driver_index == serial_out[i].driver_index;
-        }
-      }
-      Record rec{name, threads, median, serial_ms / median, identical};
-      records.push_back(rec);
-      std::printf("%-10s %8d %12.2f %8.2fx %10s\n", name, threads, median,
-                  rec.speedup, identical ? "yes" : "NO");
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FATAL: %s diverged from serial at %d threads\n", name,
-                     threads);
-        return 1;
-      }
-    }
-  }
-
-  // ---- LS parallel phase: the conflict-decomposed parallel local search
-  // ("LS:parallel=1") against the sequential sweep ("LS:parallel=0") on
-  // the same batch, swept over thread counts. Both paths must produce the
-  // identical assignment (the decomposition commits in slot order with
-  // exact revalidation), so next to the timing the series records the
-  // speculation economics: proposals made per run vs. proposals the commit
-  // pass had to recompute because an earlier swap dirtied a footprint
-  // region. recomputed/proposals is the conflict rate — the fraction of
-  // parallel work thrown away.
-  struct LsRecord {
-    int threads;
-    double median_ms;
-    double speedup;  ///< serial ("parallel=0") median over this median
-    int64_t proposals;
-    int64_t recomputed;
-    int64_t swaps;
-    bool identical;
-  };
-  std::printf("\nls_parallel phase: conflict-decomposed LS vs sequential\n");
-  std::printf("%-14s %8s %12s %9s %10s %11s %10s\n", "variant", "threads",
-              "ms/batch", "speedup", "proposals", "recomputed", "identical");
-
-  auto run_ls = [&](const std::string& spec, BatchExecution* exec,
-                    std::vector<Assignment>* out, DispatchCounters* counters) {
     std::vector<double> ms;
-    for (int rep = 0; rep < reps; ++rep) {
-      auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
-      if (exec != nullptr) ctx->SetExecution(exec);
-      auto dispatcher = DispatcherRegistry::Global().Create(spec);
-      if (!dispatcher.ok()) return -1.0;
-      out->clear();
-      Stopwatch watch;
-      (*dispatcher)->Dispatch(*ctx, out);
-      ms.push_back(watch.ElapsedSeconds() * 1e3);
-      if (const DispatchCounters* c = (*dispatcher)->counters()) {
-        *counters = *c;
-      }
-    }
-    return MedianMs(ms);
-  };
-
-  std::vector<LsRecord> ls_records;
-  std::vector<Assignment> ls_serial_out;
-  DispatchCounters ls_serial_counters;
-  double ls_serial_ms =
-      run_ls("LS:parallel=0", nullptr, &ls_serial_out, &ls_serial_counters);
-  if (ls_serial_ms < 0.0) {
-    std::fprintf(stderr, "FATAL: could not create LS:parallel=0\n");
-    return 1;
-  }
-  std::printf("%-14s %8d %12.2f %9s %10lld %11lld %10s\n", "LS:parallel=0",
-              1, ls_serial_ms, "1.00x",
-              static_cast<long long>(ls_serial_counters.proposals),
-              static_cast<long long>(ls_serial_counters.proposals_recomputed),
-              "base");
-  for (int threads : thread_counts) {
-    std::unique_ptr<ThreadPool> pool;
-    std::unique_ptr<RegionPartitioner> parts;
-    BatchExecution exec;
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      parts = std::make_unique<RegionPartitioner>(
-          RegionPartitioner::RowBands(grid,
-                                      SimConfig().ResolveShards(threads)));
-      exec.pool = pool.get();
-      exec.partitioner = parts.get();
-    }
     std::vector<Assignment> out;
-    DispatchCounters counters;
-    double median = run_ls("LS:parallel=1", pool != nullptr ? &exec : nullptr,
-                           &out, &counters);
-    if (median < 0.0) {
-      std::fprintf(stderr, "FATAL: could not create LS:parallel=1\n");
-      return 1;
+    for (int rep = 0; rep < reps; ++rep) {
+      // Fresh context per rep: the ET memo table must start cold, as it
+      // does for every batch of a real run.
+      auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
+      auto dispatcher = MakeDispatcherByName(name);
+      out.clear();
+      Stopwatch watch;
+      dispatcher->Dispatch(*ctx, &out);
+      ms.push_back(watch.ElapsedSeconds() * 1e3);
     }
-    bool identical = out.size() == ls_serial_out.size() &&
-                     counters.sweeps == ls_serial_counters.sweeps &&
-                     counters.swaps_applied == ls_serial_counters.swaps_applied;
-    for (size_t i = 0; identical && i < out.size(); ++i) {
-      identical = out[i].rider_index == ls_serial_out[i].rider_index &&
-                  out[i].driver_index == ls_serial_out[i].driver_index;
-    }
-    LsRecord rec{threads,
-                 median,
-                 ls_serial_ms / median,
-                 counters.proposals,
-                 counters.proposals_recomputed,
-                 counters.swaps_applied,
-                 identical};
-    ls_records.push_back(rec);
-    std::printf("%-14s %8d %12.2f %8.2fx %10lld %11lld %10s\n",
-                "LS:parallel=1", threads, median, rec.speedup,
-                static_cast<long long>(rec.proposals),
-                static_cast<long long>(rec.recomputed),
-                identical ? "yes" : "NO");
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FATAL: parallel LS diverged from sequential LS at %d "
-                   "threads\n",
-                   threads);
-      return 1;
-    }
+    Record rec{name, MedianMs(ms), static_cast<int64_t>(out.size())};
+    records.push_back(rec);
+    std::printf("%-10s %12.2f %12lld\n", name, rec.median_ms,
+                static_cast<long long>(rec.assignments));
   }
 
   // ---- Engine phase: batch construction vs. dispatch through the staged
   // engine on a synthetic day-slice, expressed as an ExperimentRunner sweep
-  // (one RunSpec per dispatcher × thread count, runner itself serial so the
-  // per-batch timings stay clean). Construction time covers the incremental
-  // snapshot assembly plus the (shard-parallel) rider/driver
-  // materialisation and shard-index build; dispatch time is the
-  // dispatcher's Dispatch() call. Sharded runs must reproduce the serial
-  // SimResult bit-for-bit.
+  // (one RunSpec per dispatcher, runner itself serial so the per-batch
+  // timings stay clean). Construction time covers the incremental snapshot
+  // assembly plus the rider/driver materialisation; dispatch time is the
+  // dispatcher's Dispatch() call.
   const int engine_orders = EnvInt("MRVD_BENCH_ENGINE_ORDERS", 20000, 0);
   const int engine_drivers = EnvInt("MRVD_BENCH_ENGINE_DRIVERS", 150, 1);
   const int engine_hours = EnvInt("MRVD_BENCH_ENGINE_HOURS", 2, 1);
@@ -390,19 +233,14 @@ int Main() {
   std::printf(
       "\nengine phase: %zu orders, %d drivers, %dh horizon, delta=5s\n",
       day.orders.size(), engine_drivers, engine_hours);
-  std::printf("%-10s %8s %12s %12s %12s %10s\n", "dispatcher", "threads",
-              "build-ms", "dispatch-ms", "batches", "identical");
+  std::printf("%-10s %12s %12s %12s\n", "dispatcher", "build-ms",
+              "dispatch-ms", "batches");
 
-  const std::vector<std::string> engine_names{"IRG", "SHORT"};
   std::vector<RunSpec> engine_specs;
-  for (const std::string& name : engine_names) {
-    for (int threads : thread_counts) {
-      RunSpec spec(name, name + "@" + std::to_string(threads));
-      SimConfig cfg = engine_cfg;
-      cfg.num_threads = threads;
-      spec.config = cfg;
-      engine_specs.push_back(std::move(spec));
-    }
+  for (const char* name : {"IRG", "SHORT"}) {
+    RunSpec spec(name, name);
+    spec.config = engine_cfg;
+    engine_specs.push_back(std::move(spec));
   }
   ExperimentRunner engine_runner(*engine_sim, /*num_threads=*/1);
   StatusOr<std::vector<RunResult>> engine_runs =
@@ -414,48 +252,27 @@ int Main() {
   }
 
   std::vector<EngineRecord> engine_records;
-  for (size_t n = 0; n < engine_names.size(); ++n) {
-    const SimResult* serial_result = nullptr;
-    for (size_t t = 0; t < thread_counts.size(); ++t) {
-      const RunResult& run =
-          (*engine_runs)[n * thread_counts.size() + t];
-      const SimResult& r = run.result;
-      bool identical = true;
-      if (thread_counts[t] == 1) {
-        serial_result = &r;
-      } else {
-        identical = SameResult(*serial_result, r);
-      }
-      EngineRecord rec{engine_names[n],
-                       thread_counts[t],
-                       r.batch_build_seconds.mean() * 1e3,
-                       r.batch_build_seconds.max() * 1e3,
-                       r.batch_seconds.mean() * 1e3,
-                       r.num_batches,
-                       identical};
-      engine_records.push_back(rec);
-      std::printf("%-10s %8d %12.4f %12.4f %12lld %10s\n",
-                  engine_names[n].c_str(), thread_counts[t],
-                  rec.build_ms_mean, rec.dispatch_ms_mean,
-                  static_cast<long long>(rec.num_batches),
-                  identical ? "yes" : "NO");
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FATAL: %s engine run diverged from serial at %d "
-                     "threads\n",
-                     engine_names[n].c_str(), thread_counts[t]);
-        return 1;
-      }
-    }
+  for (const RunResult& run : *engine_runs) {
+    const SimResult& r = run.result;
+    EngineRecord rec{run.label, r.batch_build_seconds.mean() * 1e3,
+                     r.batch_build_seconds.max() * 1e3,
+                     r.batch_seconds.mean() * 1e3, r.num_batches};
+    engine_records.push_back(rec);
+    std::printf("%-10s %12.4f %12.4f %12lld\n", rec.dispatcher.c_str(),
+                rec.build_ms_mean, rec.dispatch_ms_mean,
+                static_cast<long long>(rec.num_batches));
   }
 
   // ---- ExperimentRunner phase: wall-clock of an N-replication sweep
-  // (RAND:seed=i over a one-hour slice) executed serially vs. on runner
+  // (RAND:seed=i over a full 24 h day) executed serially vs. on runner
   // threads {4}. Replications are independent runs, so the sweep must be
-  // bit-identical at every thread count; speedup requires real cores.
-  const int sweep_reps = EnvInt("MRVD_BENCH_SWEEP_REPS", 6, 1);
+  // bit-identical at every thread count; speedup requires real cores. The
+  // full day keeps every arm at >= 1 s on 4 vCPUs: shorter arms made the
+  // 4-thread speedup read anywhere from 0.75x to 2.06x on one box.
+  const int sweep_reps = EnvInt("MRVD_BENCH_SWEEP_REPS", 24, 1);
+  constexpr int sweep_hours = 24;
   SimConfig sweep_cfg = engine_cfg;
-  sweep_cfg.horizon_seconds = 3600.0;
+  sweep_cfg.horizon_seconds = sweep_hours * 3600.0;
   std::vector<RunSpec> sweep_specs;
   for (int i = 0; i < sweep_reps; ++i) {
     RunSpec spec("RAND", "RAND#" + std::to_string(i + 1));
@@ -470,8 +287,8 @@ int Main() {
     double speedup;
     bool identical;
   };
-  std::printf("\nexperiment_runner phase: %d replications, 1h slice\n",
-              sweep_reps);
+  std::printf("\nexperiment_runner phase: %d replications, %dh slice\n",
+              sweep_reps, sweep_hours);
   std::printf("%8s %12s %9s %10s\n", "threads", "wall-s", "speedup",
               "identical");
   std::vector<SweepRecord> sweep_records;
@@ -532,7 +349,7 @@ int Main() {
       "nyc:orders=" + std::to_string(engine_orders) +
       ",drivers=" + std::to_string(engine_drivers) +
       ",grid_rows=16,grid_cols=16,oracle=0,speed_mps=7"
-      ",batch_interval=5,horizon_hours=1"};
+      ",batch_interval=5,horizon_hours=" + std::to_string(sweep_hours)};
   campaign_spec.dispatchers = {"RAND"};
   for (int i = 0; i < sweep_reps; ++i) {
     campaign_spec.seeds.push_back(static_cast<uint64_t>(i + 1));
@@ -913,43 +730,17 @@ int Main() {
   w.Key("drivers").Number(num_drivers);
   w.Key("reps").Number(reps);
   // The box's hardware concurrency, embedded so bench diffs across
-  // machines stay comparable (a 1-core run cannot show speedups).
+  // machines stay comparable (a 1-core run cannot show runner speedups).
   w.Key("hardware_concurrency").Number(ThreadPool::HardwareThreads());
   w.Key("results").BeginArray();
   for (const Record& r : records) {
     w.BeginObject();
     w.Key("dispatcher").String(r.dispatcher);
-    w.Key("threads").Number(r.threads);
     w.Key("ms_per_batch").Number(r.median_ms);
-    w.Key("speedup").Number(r.speedup);
-    w.Key("identical").Bool(r.identical);
+    w.Key("assignments").Number(r.assignments);
     w.EndObject();
   }
   w.EndArray();
-  // Conflict-decomposed LS vs the sequential sweep: timing plus the
-  // speculation counters (conflict_rate = recomputed / proposals).
-  w.Key("ls_parallel").BeginObject();
-  w.Key("serial_ms_per_batch").Number(ls_serial_ms);
-  w.Key("serial_proposals").Number(ls_serial_counters.proposals);
-  w.Key("serial_swaps").Number(ls_serial_counters.swaps_applied);
-  w.Key("results").BeginArray();
-  for (const LsRecord& r : ls_records) {
-    w.BeginObject();
-    w.Key("threads").Number(r.threads);
-    w.Key("ms_per_batch").Number(r.median_ms);
-    w.Key("speedup").Number(r.speedup);
-    w.Key("proposals").Number(r.proposals);
-    w.Key("recomputed").Number(r.recomputed);
-    w.Key("conflict_rate")
-        .Number(r.proposals > 0
-                    ? static_cast<double>(r.recomputed) / r.proposals
-                    : 0.0);
-    w.Key("swaps_applied").Number(r.swaps);
-    w.Key("identical").Bool(r.identical);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
   w.Key("engine").BeginObject();
   w.Key("orders").Number(static_cast<int64_t>(day.orders.size()));
   w.Key("drivers").Number(engine_drivers);
@@ -959,19 +750,17 @@ int Main() {
   for (const EngineRecord& r : engine_records) {
     w.BeginObject();
     w.Key("dispatcher").String(r.dispatcher);
-    w.Key("threads").Number(r.threads);
     w.Key("build_ms_mean").Number(r.build_ms_mean);
     w.Key("build_ms_max").Number(r.build_ms_max);
     w.Key("dispatch_ms_mean").Number(r.dispatch_ms_mean);
     w.Key("num_batches").Number(r.num_batches);
-    w.Key("identical").Bool(r.identical);
     w.EndObject();
   }
   w.EndArray();
   w.EndObject();
   w.Key("experiment_runner").BeginObject();
   w.Key("replications").Number(sweep_reps);
-  w.Key("horizon_hours").Number(1);
+  w.Key("horizon_hours").Number(sweep_hours);
   w.Key("results").BeginArray();
   for (const SweepRecord& r : sweep_records) {
     w.BeginObject();

@@ -38,13 +38,10 @@ void RegisterBuiltins(DispatcherRegistry* r) {
   must(r->Register(
       "LS",
       {{"max_sweeps", DispatcherParam::Type::kInt64, 16.0,
-        "local-search pass cap (L_max)"},
-       {"parallel", DispatcherParam::Type::kInt64, 1.0,
-        "1 = conflict-decomposed parallel sweeps, 0 = sequential sweep"}},
+        "local-search pass cap (L_max)"}},
       [](const DispatcherParams& p) {
         return MakeLocalSearchDispatcher(
-            static_cast<int>(p.GetInt("max_sweeps")),
-            p.GetInt("parallel") != 0);
+            static_cast<int>(p.GetInt("max_sweeps")));
       }));
   must(r->Register("SHORT", {}, [](const DispatcherParams&) {
     return MakeShortDispatcher();

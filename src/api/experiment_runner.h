@@ -14,11 +14,9 @@
 // SimResult aggregates at any runner thread count — the equivalence-suite
 // guarantee extended to the sweep layer (tests/api_test.cc enforces it).
 //
-// Nested parallelism note: engine-level sharding (SimConfig::num_threads)
-// inside a runner worker degrades to inline execution (ThreadPool nests
-// inline rather than deadlock), which never changes results — but for
-// throughput pick ONE level: runner threads for many small runs, engine
-// threads for few big ones.
+// Parallelism note: runs are the only unit of parallelism. The engine runs
+// each batch on the calling thread (intra-batch threading lost to serial at
+// every measured size), so a sweep scales by giving the runner threads.
 #pragma once
 
 #include <cstdint>

@@ -199,16 +199,6 @@ SimulationBuilder& SimulationBuilder::HorizonSeconds(double seconds) {
   return *this;
 }
 
-SimulationBuilder& SimulationBuilder::Threads(int num_threads) {
-  config_.num_threads = num_threads;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::Shards(int num_shards) {
-  config_.num_shards = num_shards;
-  return *this;
-}
-
 SimulationBuilder& SimulationBuilder::WithTelemetry(
     telemetry::TelemetrySession* session) {
   config_.telemetry = session;

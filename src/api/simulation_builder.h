@@ -178,8 +178,6 @@ class SimulationBuilder {
   SimulationBuilder& BatchInterval(double seconds);
   SimulationBuilder& WindowSeconds(double seconds);
   SimulationBuilder& HorizonSeconds(double seconds);
-  SimulationBuilder& Threads(int num_threads);
-  SimulationBuilder& Shards(int num_shards);
 
   /// Attaches a borrowed telemetry session (may be null to detach): runs
   /// record per-stage trace spans and feed the session's MetricsRegistry.

@@ -1,4 +1,4 @@
-// CampaignRunner: executes an expanded campaign grid shard-parallel on the
+// CampaignRunner: executes an expanded campaign grid cell-parallel on the
 // existing ThreadPool, with content-addressed resume.
 //
 // Execution contract:

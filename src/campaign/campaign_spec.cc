@@ -11,22 +11,18 @@ namespace mrvd {
 
 namespace {
 
-/// One known SimConfig override key.
+/// One known SimConfig override key (every key is a double field).
 struct DeltaField {
   const char* name;
-  bool is_int;
-  double SimConfig::* dfield;
-  int SimConfig::* ifield;
+  double SimConfig::* field;
 };
 
 constexpr DeltaField kDeltaFields[] = {
-    {"batch_interval", false, &SimConfig::batch_interval, nullptr},
-    {"window_seconds", false, &SimConfig::window_seconds, nullptr},
-    {"horizon_seconds", false, &SimConfig::horizon_seconds, nullptr},
-    {"alpha", false, &SimConfig::alpha, nullptr},
-    {"reneging_beta", false, &SimConfig::reneging_beta, nullptr},
-    {"num_threads", true, nullptr, &SimConfig::num_threads},
-    {"num_shards", true, nullptr, &SimConfig::num_shards},
+    {"batch_interval", &SimConfig::batch_interval},
+    {"window_seconds", &SimConfig::window_seconds},
+    {"horizon_seconds", &SimConfig::horizon_seconds},
+    {"alpha", &SimConfig::alpha},
+    {"reneging_beta", &SimConfig::reneging_beta},
 };
 
 std::string KnownDeltaKeys() {
@@ -43,6 +39,23 @@ const DeltaField* FindDeltaField(std::string_view key) {
     if (key == f.name) return &f;
   }
   return nullptr;
+}
+
+/// Resolves `key` and parses `value` as its double.
+StatusOr<double> ParseDeltaValue(const std::string& key,
+                                 const std::string& value,
+                                 const DeltaField** field) {
+  *field = FindDeltaField(key);
+  if (*field == nullptr) {
+    return Status::InvalidArgument("unknown config-delta key '" + key +
+                                   "'; known keys: " + KnownDeltaKeys());
+  }
+  StatusOr<double> v = ParseDouble(value);
+  if (!v.ok()) {
+    return Status::InvalidArgument("config-delta key '" + key +
+                                   "': not a number: '" + value + "'");
+  }
+  return v;
 }
 
 /// Splits "key=value,..." into trimmed pairs via the shared spec-grammar
@@ -64,26 +77,10 @@ Status ApplyConfigDelta(const std::string& delta, SimConfig* config) {
       SplitDelta(delta);
   if (!pairs.ok()) return pairs.status();
   for (const auto& [key, value] : *pairs) {
-    const DeltaField* field = FindDeltaField(key);
-    if (field == nullptr) {
-      return Status::InvalidArgument("unknown config-delta key '" + key +
-                                     "'; known keys: " + KnownDeltaKeys());
-    }
-    if (field->is_int) {
-      StatusOr<int64_t> v = ParseInt64(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not an int: '" + value + "'");
-      }
-      config->*(field->ifield) = static_cast<int>(*v);
-    } else {
-      StatusOr<double> v = ParseDouble(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not a number: '" + value + "'");
-      }
-      config->*(field->dfield) = *v;
-    }
+    const DeltaField* field = nullptr;
+    StatusOr<double> v = ParseDeltaValue(key, value, &field);
+    if (!v.ok()) return v.status();
+    config->*(field->field) = *v;
   }
   return Status::OK();
 }
@@ -96,26 +93,10 @@ StatusOr<std::string> CanonicalizeConfigDelta(const std::string& delta) {
   std::vector<std::pair<std::string, std::string>> canonical;
   canonical.reserve(pairs->size());
   for (const auto& [key, value] : *pairs) {
-    const DeltaField* field = FindDeltaField(key);
-    if (field == nullptr) {
-      return Status::InvalidArgument("unknown config-delta key '" + key +
-                                     "'; known keys: " + KnownDeltaKeys());
-    }
-    if (field->is_int) {
-      StatusOr<int64_t> v = ParseInt64(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not an int: '" + value + "'");
-      }
-      canonical.emplace_back(key, std::to_string(*v));
-    } else {
-      StatusOr<double> v = ParseDouble(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not a number: '" + value + "'");
-      }
-      canonical.emplace_back(key, FormatDouble(*v));
-    }
+    const DeltaField* field = nullptr;
+    StatusOr<double> v = ParseDeltaValue(key, value, &field);
+    if (!v.ok()) return v.status();
+    canonical.emplace_back(key, FormatDouble(*v));
   }
   std::sort(canonical.begin(), canonical.end());
 

@@ -51,7 +51,7 @@ struct CampaignCell {
 
 /// Applies a "key=value,..." override string onto `config`. Known keys:
 /// batch_interval, window_seconds, horizon_seconds, alpha, reneging_beta
-/// (doubles) and num_threads, num_shards (ints). Unknown keys fail listing
+/// (all doubles). Unknown keys fail listing
 /// the known set; the merged config is NOT validated here (the run path
 /// calls SimConfig::Validate()).
 Status ApplyConfigDelta(const std::string& delta, SimConfig* config);

@@ -6,9 +6,7 @@
 #include <limits>
 #include <numbers>
 
-#include "geo/region_partitioner.h"
 #include "telemetry/session.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
 
@@ -55,12 +53,6 @@ struct CandidateWork {
   int64_t regions_visited = 0;
   int64_t drivers_scanned = 0;
   int64_t pairs = 0;
-
-  void Add(const CandidateWork& o) {
-    regions_visited += o.regions_visited;
-    drivers_scanned += o.drivers_scanned;
-    pairs += o.pairs;
-  }
 };
 
 /// Adds `work` to the context's telemetry counters, if a session is
@@ -78,10 +70,7 @@ void PublishWork(const BatchContext& ctx, const CandidateWork& work) {
 }
 
 /// Emits rider `ri`'s valid pairs in the canonical order: rings outward,
-/// regions in Grid::ForEachInRing order, drivers in region order. Every
-/// generation path (serial or sharded) goes through this function with the
-/// same per-rider order, so the concatenated pair list is identical no
-/// matter how the riders were distributed over workers.
+/// regions in Grid::ForEachInRing order, drivers in region order.
 ///
 /// A region is scanned only if its driver box lies within the rider's
 /// crow-fly reach, budget * MaxSpeedMps(); the TravelCostModel contract
@@ -150,42 +139,14 @@ void ForRiderValidPairs(const BatchContext& ctx, const DriverBounds& bounds,
   }
 }
 
-/// Fills `out` (pre-sized to riders().size()) with each rider's pairs.
-/// When the context carries a parallel execution, riders are generated
-/// per-shard across the pool; each worker writes only its shard's rider
-/// slots and work tally, so no synchronisation is needed and the per-rider
-/// contents are exactly the serial ones.
-void GeneratePerRider(const BatchContext& ctx,
-                      std::vector<std::vector<CandidatePair>>* out) {
+/// Calls sink(rider, driver, pickup_seconds) for every valid pair of the
+/// batch in the canonical order, then publishes the call's work counters.
+template <typename Sink>
+void ForEachValidPair(const BatchContext& ctx, Sink&& sink) {
   const DriverBounds bounds = BuildDriverBounds(ctx);
-  const BatchExecution* exec = ctx.execution();
   CandidateWork work;
-  if (exec != nullptr && exec->Parallel() && ctx.riders().size() > 1) {
-    const RegionPartitioner& parts = *exec->partitioner;
-    // Shared one-pass shard index (built once per batch and reused by the
-    // pipeline's ShardedBatchContexts; must be ensured before fanning out).
-    const BatchContext::ShardIndex& index = *ctx.EnsureShardIndex();
-    std::vector<CandidateWork> shard_work(
-        static_cast<size_t>(parts.num_shards()));
-    exec->pool->ParallelFor(parts.num_shards(), [&](int s) {
-      CandidateWork& w = shard_work[static_cast<size_t>(s)];
-      for (int ri : index.riders[static_cast<size_t>(s)]) {
-        auto& dst = (*out)[static_cast<size_t>(ri)];
-        ForRiderValidPairs(ctx, bounds, ri, &w,
-                           [&dst](int rr, int di, double tt) {
-                             dst.push_back({rr, di, tt});
-                           });
-      }
-    });
-    for (const CandidateWork& w : shard_work) work.Add(w);
-  } else {
-    for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
-      auto& dst = (*out)[static_cast<size_t>(ri)];
-      ForRiderValidPairs(ctx, bounds, ri, &work,
-                         [&dst](int rr, int di, double tt) {
-                           dst.push_back({rr, di, tt});
-                         });
-    }
+  for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
+    ForRiderValidPairs(ctx, bounds, ri, &work, sink);
   }
   PublishWork(ctx, work);
 }
@@ -193,37 +154,19 @@ void GeneratePerRider(const BatchContext& ctx,
 }  // namespace
 
 std::vector<CandidatePair> GenerateValidPairs(const BatchContext& ctx) {
-  const BatchExecution* exec = ctx.execution();
-  if (exec == nullptr || !exec->Parallel() || ctx.riders().size() <= 1) {
-    // Serial: sink straight into the flat list, no per-rider buffers.
-    std::vector<CandidatePair> out;
-    const DriverBounds bounds = BuildDriverBounds(ctx);
-    CandidateWork work;
-    for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
-      ForRiderValidPairs(ctx, bounds, ri, &work,
-                         [&out](int rr, int di, double tt) {
-                           out.push_back({rr, di, tt});
-                         });
-    }
-    PublishWork(ctx, work);
-    return out;
-  }
-  std::vector<std::vector<CandidatePair>> per_rider(ctx.riders().size());
-  GeneratePerRider(ctx, &per_rider);
-  size_t total = 0;
-  for (const auto& g : per_rider) total += g.size();
   std::vector<CandidatePair> out;
-  out.reserve(total);
-  for (const auto& g : per_rider) {
-    out.insert(out.end(), g.begin(), g.end());
-  }
+  ForEachValidPair(ctx, [&out](int ri, int di, double tt) {
+    out.push_back({ri, di, tt});
+  });
   return out;
 }
 
 std::vector<std::vector<CandidatePair>> GenerateValidPairsPerRider(
     const BatchContext& ctx) {
   std::vector<std::vector<CandidatePair>> out(ctx.riders().size());
-  GeneratePerRider(ctx, &out);
+  ForEachValidPair(ctx, [&out](int ri, int di, double tt) {
+    out[static_cast<size_t>(ri)].push_back({ri, di, tt});
+  });
   return out;
 }
 

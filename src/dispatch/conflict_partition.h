@@ -28,10 +28,10 @@
 //     (ET(k, extra-1) is only ever queried when a slot holds two
 //     candidates with the same dropoff region k).
 //
-// local_search.cc uses the plan to propose best-swaps for all slots in
-// parallel against the sweep-start state and then commit them in slot
-// order, recomputing exactly the proposals whose footprint an earlier
-// commit dirtied — bit-identical to the serial sweep at any thread count.
+// local_search.cc uses the plan to propose best-swaps for all slots
+// against the sweep-start state and then commit them in slot order,
+// recomputing exactly the proposals whose footprint an earlier commit
+// dirtied — bit-identical to the textbook sequential sweep.
 #pragma once
 
 #include <vector>

@@ -10,12 +10,7 @@
 //   UPPER  — per-batch revenue upper bound (requires
 //            SimConfig::zero_pickup_travel)
 //
-// Every dispatcher consumes the batch through the sharded-context protocol:
-// when the BatchContext carries a BatchExecution (thread pool + region
-// partitioner, see sim/batch.h), candidate generation and the idle-time
-// solves fan out per region shard and the selection reconciles
-// sequentially, producing bit-identical assignments to the serial path.
-// Without an execution the same code runs serially.
+// Every dispatcher runs its batch on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +28,11 @@ std::unique_ptr<Dispatcher> MakeIrgDispatcher();
 
 /// `max_sweeps` caps local-search passes (L_max in the complexity analysis;
 /// convergence is guaranteed by Lemma 5.1 but bounded here defensively).
-/// `parallel` selects the conflict-decomposed sweep (speculative parallel
-/// propose + in-order commit with exact revalidation; bit-identical to the
-/// sequential sweep, which `parallel = false` keeps as the A/B baseline).
-std::unique_ptr<Dispatcher> MakeLocalSearchDispatcher(int max_sweeps = 16,
-                                                      bool parallel = true);
+/// LS sweeps by snapshot propose + in-order commit with exact revalidation.
+/// `reference_sweep` is for equivalence tests only: it selects the textbook
+/// sequential sweep, which gives bit-identical assignments more slowly.
+std::unique_ptr<Dispatcher> MakeLocalSearchDispatcher(
+    int max_sweeps = 16, bool reference_sweep = false);
 
 std::unique_ptr<Dispatcher> MakeShortDispatcher();
 std::unique_ptr<Dispatcher> MakePolarDispatcher();

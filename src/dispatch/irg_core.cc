@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/thread_pool.h"
-
 namespace mrvd {
 
 double ScoreFromIdleTrip(double idle_seconds, double trip_seconds,
@@ -34,10 +32,9 @@ double ScorePair(const BatchContext& ctx, const WaitingRider& rider,
   return ScoreFromIdle(et, rider, objective, pickup_seconds);
 }
 
-IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
-                                    const std::vector<CandidatePair>& pairs,
-                                    GreedyObjective objective,
-                                    const IdleTimeFn& idle) {
+IrgState RunGreedySelection(const BatchContext& ctx,
+                            const std::vector<CandidatePair>& pairs,
+                            GreedyObjective objective) {
   IrgState state;
   state.extra_drivers.assign(static_cast<size_t>(ctx.grid().num_regions()),
                              0);
@@ -73,7 +70,7 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
   for (RegionId k = 0;
        k < static_cast<RegionId>(ctx.grid().num_regions()); ++k) {
     if (idle_at_zero[static_cast<size_t>(k)] == 0.0) {
-      idle_at_zero[static_cast<size_t>(k)] = idle(k, 0);
+      idle_at_zero[static_cast<size_t>(k)] = ctx.ExpectedIdleSeconds(k);
     }
   }
   std::vector<Entry> entries;
@@ -93,34 +90,7 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
   // tens of thousands). Both orders follow the same strict total order, so
   // the merged pop sequence is exactly the single-heap one.
   auto ascending = [](const Entry& a, const Entry& b) { return b > a; };
-  const BatchExecution* exec = ctx.execution();
-  if (exec != nullptr && exec->Parallel() && entries.size() >= 4096) {
-    // Chunk-sort on the pool, then pairwise in-place merges. The sorted
-    // result is unique under the strict total order, so this is
-    // indistinguishable from the serial sort.
-    size_t chunks = static_cast<size_t>(exec->pool->num_threads());
-    std::vector<size_t> bounds(chunks + 1);
-    for (size_t c = 0; c <= chunks; ++c) {
-      bounds[c] = entries.size() * c / chunks;
-    }
-    exec->pool->ParallelFor(static_cast<int>(chunks), [&](int c) {
-      std::sort(entries.begin() + static_cast<ptrdiff_t>(bounds[c]),
-                entries.begin() + static_cast<ptrdiff_t>(bounds[c + 1]),
-                ascending);
-    });
-    for (size_t width = 1; width < chunks; width *= 2) {
-      for (size_t c = 0; c + width < chunks; c += 2 * width) {
-        std::inplace_merge(
-            entries.begin() + static_cast<ptrdiff_t>(bounds[c]),
-            entries.begin() + static_cast<ptrdiff_t>(bounds[c + width]),
-            entries.begin() + static_cast<ptrdiff_t>(
-                bounds[std::min(c + 2 * width, chunks)]),
-            ascending);
-      }
-    }
-  } else {
-    std::sort(entries.begin(), entries.end(), ascending);
-  }
+  std::sort(entries.begin(), entries.end(), ascending);
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> requeue;
   size_t next_sorted = 0;
 
@@ -144,8 +114,9 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
     if (e.version != region_version[dest]) {
       // Destination supply changed since scoring; refresh and reinsert.
       double s = ScoreFromIdle(
-          idle(rider.dropoff_region, state.extra_drivers[dest]), rider,
-          objective, cp.pickup_seconds);
+          ctx.ExpectedIdleSeconds(rider.dropoff_region,
+                                  state.extra_drivers[dest]),
+          rider, objective, cp.pickup_seconds);
       requeue.push({s, e.pair_index, region_version[dest]});
       continue;
     }
@@ -157,15 +128,6 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
     ++region_version[dest];
   }
   return state;
-}
-
-IrgState RunGreedySelection(const BatchContext& ctx,
-                            const std::vector<CandidatePair>& pairs,
-                            GreedyObjective objective) {
-  return RunGreedySelectionWithIdle(
-      ctx, pairs, objective, [&ctx](RegionId region, int extra) {
-        return ctx.ExpectedIdleSeconds(region, extra);
-      });
 }
 
 }  // namespace mrvd

@@ -10,7 +10,6 @@
 // selection is deterministic regardless of how the heap was built.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "dispatch/candidates.h"
@@ -35,19 +34,13 @@ struct IrgState {
   std::vector<char> driver_used;
 };
 
-/// ET oracle: seconds of expected idle time for (region, extra_drivers).
-/// The serial path uses BatchContext::ExpectedIdleSeconds; shard workers
-/// pass ShardedBatchContext::ExpectedIdleSeconds so memoisation stays
-/// thread-local.
-using IdleTimeFn = std::function<double(RegionId, int)>;
-
 /// Score from an already-resolved ET value (pure arithmetic shared by every
 /// ET oracle).
 double ScoreFromIdle(double idle_seconds, const WaitingRider& rider,
                      GreedyObjective objective, double pickup_seconds = 0.0);
 
 /// ScoreFromIdle with the rider's trip time passed directly — for SoA hot
-/// loops (parallel LS propose) that carry trip seconds in a dense array
+/// loops (LS snapshot propose) that carry trip seconds in a dense array
 /// instead of dereferencing a WaitingRider. ScoreFromIdle delegates here,
 /// so both spellings evaluate the one compiled expression and stay
 /// bit-identical.
@@ -67,13 +60,5 @@ double ScorePair(const BatchContext& ctx, const WaitingRider& rider,
 IrgState RunGreedySelection(const BatchContext& ctx,
                             const std::vector<CandidatePair>& pairs,
                             GreedyObjective objective);
-
-/// Greedy selection with ET queries routed through `idle`. Used by the
-/// sharded pipeline's speculative per-shard pass; semantics are identical
-/// to RunGreedySelection when `idle` returns the same values.
-IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
-                                    const std::vector<CandidatePair>& pairs,
-                                    GreedyObjective objective,
-                                    const IdleTimeFn& idle);
 
 }  // namespace mrvd

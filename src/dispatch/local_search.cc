@@ -2,32 +2,30 @@
 // driver's rider with a lower-idle-ratio valid alternative until no swap
 // improves (convergence proved in Lemma 5.1; bounded by max_sweeps here).
 //
-// The swap sweep is the serial bottleneck of the roster: every swap shifts
-// the tentative supply (`extra_drivers`) its successors price against, so
-// the textbook loop cannot fan out as-is. The parallel path decomposes it
-// by conflict footprint (dispatch/conflict_partition.h) per sweep:
+// Every swap shifts the tentative supply (`extra_drivers`) its successors
+// price against, so the textbook loop re-queries the shared ET memo for
+// every candidate of every slot. The sweep used here splits it by conflict
+// footprint (dispatch/conflict_partition.h):
 //
 //   1. Snapshot: dense ET tables for every candidate dropoff region at the
 //      sweep-start supply (plus the "current rider released" extra-1 table
-//      where a slot can need it). Computed serially through the shared
-//      memo, so later sweeps and the exact recompute path reuse them.
+//      where a slot can need it), read through the shared memo so later
+//      sweeps and the exact recompute path reuse them.
 //   2. Propose: every slot's best swap is evaluated against the sweep-start
-//      state on the BatchExecution's pool — a pure scan over the plan's
-//      SoA candidate arrays and the dense ET tables, no shared-memo access,
-//      no pointer chasing.
+//      state — a pure scan over the plan's SoA candidate arrays and the
+//      dense ET tables, no memo lookups, no pointer chasing.
 //   3. Commit, in slot order: a proposal is applied directly iff no earlier
 //      commit this sweep dirtied the slot's footprint (level-0 slots are
 //      clean by construction and skip the check); otherwise it is
-//      recomputed inline with the exact serial scan before applying.
+//      recomputed inline with the exact textbook scan before applying.
 //
-// A clean footprint means the sweep-start state and the serial mid-sweep
-// state agree on everything the slot reads, so the speculative proposal
-// *is* the serial decision; a dirty footprint falls back to the serial
-// computation itself. Commits replay in the serial order either way, so
-// the refined assignment is bit-identical to the sequential sweep at any
-// thread count — enforced by tests/engine_equivalence_test.cc and
-// tests/local_search_test.cc. `parallel=0` keeps the original sequential
-// sweep as an A/B baseline.
+// A clean footprint means the sweep-start state and the textbook mid-sweep
+// state agree on everything the slot reads, so the snapshot proposal *is*
+// the textbook decision; a dirty footprint falls back to the textbook
+// computation itself. Commits replay in the textbook order either way, so
+// the refined assignment is bit-identical to the sequential sweep, which
+// stays as RunSerialSweeps for tests/engine_equivalence_test.cc and
+// tests/local_search_test.cc to compare against.
 #include <algorithm>
 #include <optional>
 #include <vector>
@@ -35,18 +33,16 @@
 #include "dispatch/conflict_partition.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
-#include "dispatch/pipeline.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
 
 namespace {
 
-/// The pre-decomposition sequential sweep, kept verbatim as the
-/// `parallel=0` baseline the equivalence tests pin the parallel path to.
+/// The textbook sequential sweep: the reference the equivalence tests pin
+/// the snapshot sweep to.
 void RunSerialSweeps(const BatchContext& ctx,
                      const std::vector<CandidatePair>& pairs, int max_sweeps,
                      IrgState* state, DispatchCounters* counters) {
@@ -141,17 +137,15 @@ int RecomputeBestSwap(const BatchContext& ctx, const LsSwapPlan& plan,
   return best_rider;
 }
 
-/// Conflict-decomposed sweep: parallel speculative propose against the
-/// sweep-start state, then in-order commit with exact revalidation.
+/// Conflict-decomposed sweep: snapshot propose against the sweep-start
+/// state, then in-order commit with exact revalidation.
 void RunConflictDecomposedSweeps(const BatchContext& ctx,
                                  const std::vector<CandidatePair>& pairs,
                                  int max_sweeps, IrgState* state,
                                  DispatchCounters* counters) {
   // Telemetry (optional): the propose/commit/revalidate wall-time split of
-  // every sweep. Execution metadata — the phase boundaries exist only on
-  // this decomposed path, and the revalidate share depends on how commits
-  // interleave with speculation, so all three histograms are kExecution
-  // scope. Registry access stays on this (the coordinator) thread.
+  // every sweep. Execution metadata — wall times — so all three histograms
+  // are kExecution scope.
   telemetry::TelemetrySession* tele = ctx.telemetry();
   telemetry::LogHistogram* propose_hist = nullptr;
   telemetry::LogHistogram* commit_hist = nullptr;
@@ -186,7 +180,7 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
     ++counters->sweeps;
     changed = false;
 
-    // Propose phase span covers the ET snapshot + the speculative scan;
+    // Propose phase span covers the ET snapshot + the proposal scan;
     // optional<> sequences the two phase spans without re-scoping the
     // sweep body. Null session keeps all of this at two pointer checks.
     std::optional<telemetry::TraceSpan> phase_span;
@@ -208,13 +202,10 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
       }
     }
 
-    // 2. Parallel propose vs the sweep-start state: pure per-slot scans
-    // over the SoA candidate arrays and the dense ET tables. Disjoint
-    // writes (proposed[i]), read-only shared state — safe and
-    // chunk-order-independent, hence deterministic at any thread count.
-    auto propose = [&](int i) {
-      const int cur =
-          state->assignments[static_cast<size_t>(i)].rider_index;
+    // 2. Propose vs the sweep-start state: pure per-slot scans over the SoA
+    // candidate arrays and the dense ET tables.
+    for (int i = 0; i < n; ++i) {
+      const int cur = state->assignments[static_cast<size_t>(i)].rider_index;
       const RegionId cur_d = riders[static_cast<size_t>(cur)].dropoff_region;
       double best_ir =
           ScoreFromIdleTrip(et_cur[static_cast<size_t>(cur_d)],
@@ -237,20 +228,6 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
         }
       }
       proposed[static_cast<size_t>(i)] = best_rider;
-    };
-    const BatchExecution* exec = ctx.execution();
-    if (exec != nullptr && exec->Parallel() && n >= 64) {
-      const int chunks = std::min(n, exec->pool->num_threads() * 4);
-      exec->pool->ParallelFor(chunks, [&](int c) {
-        // Worker-thread span: one per chunk, recorded in the executing
-        // worker's own trace buffer.
-        telemetry::TraceSpan chunk_span(tele, "ls_propose_chunk");
-        const int lo = n * c / chunks;
-        const int hi = n * (c + 1) / chunks;
-        for (int i = lo; i < hi; ++i) propose(i);
-      });
-    } else {
-      for (int i = 0; i < n; ++i) propose(i);
     }
     counters->proposals += n;
 
@@ -265,7 +242,7 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
 
     // 3. Serial commit in slot order. A slot whose footprint no earlier
     // commit dirtied sees exactly the sweep-start state on everything it
-    // read, so its speculative proposal is the serial decision; otherwise
+    // read, so its snapshot proposal is the textbook decision; otherwise
     // recompute it against the live state before applying.
     for (int i = 0; i < n; ++i) {
       int best_rider = proposed[static_cast<size_t>(i)];
@@ -320,8 +297,8 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
 
 class LocalSearchDispatcher final : public Dispatcher {
  public:
-  LocalSearchDispatcher(int max_sweeps, bool parallel)
-      : max_sweeps_(max_sweeps), parallel_(parallel) {}
+  LocalSearchDispatcher(int max_sweeps, bool reference_sweep)
+      : max_sweeps_(max_sweeps), reference_sweep_(reference_sweep) {}
 
   std::string name() const override { return "LS"; }
 
@@ -329,31 +306,29 @@ class LocalSearchDispatcher final : public Dispatcher {
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
     counters_ = {};
-    PreparedBatch prepared =
-        PrepareShardedBatch(ctx, GreedyObjective::kIdleRatio);
-    counters_.shards = std::move(prepared.shard_stats);
+    const std::vector<CandidatePair> pairs = GenerateValidPairs(ctx);
     IrgState state =
-        RunGreedySelection(ctx, prepared.pairs, GreedyObjective::kIdleRatio);
-    if (parallel_) {
-      RunConflictDecomposedSweeps(ctx, prepared.pairs, max_sweeps_, &state,
-                                  &counters_);
+        RunGreedySelection(ctx, pairs, GreedyObjective::kIdleRatio);
+    if (reference_sweep_) {
+      RunSerialSweeps(ctx, pairs, max_sweeps_, &state, &counters_);
     } else {
-      RunSerialSweeps(ctx, prepared.pairs, max_sweeps_, &state, &counters_);
+      RunConflictDecomposedSweeps(ctx, pairs, max_sweeps_, &state,
+                                  &counters_);
     }
     *out = std::move(state.assignments);
   }
 
  private:
   int max_sweeps_;
-  bool parallel_;
+  bool reference_sweep_;
   DispatchCounters counters_;
 };
 
 }  // namespace
 
 std::unique_ptr<Dispatcher> MakeLocalSearchDispatcher(int max_sweeps,
-                                                      bool parallel) {
-  return std::make_unique<LocalSearchDispatcher>(max_sweeps, parallel);
+                                                      bool reference_sweep) {
+  return std::make_unique<LocalSearchDispatcher>(max_sweeps, reference_sweep);
 }
 
 }  // namespace mrvd

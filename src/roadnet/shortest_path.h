@@ -93,8 +93,8 @@ class RoadNetworkCostModel : public TravelCostModel {
   std::shared_ptr<const RoadNetwork> net_;
   SnapIndex snap_;
   // The model is logically const but reuses the engine's scratch buffers
-  // between queries. Sharded candidate generation and ExperimentRunner
-  // workers sharing one Simulation call it from several threads at once.
+  // between queries. ExperimentRunner workers sharing one Simulation call
+  // it from several threads at once.
   mutable Mutex mu_;
   mutable ShortestPathEngine engine_ MRVD_GUARDED_BY(mu_);
   double fallback_speed_mps_;

@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "geo/region_partitioner.h"
 #include "queueing/birth_death.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
-
-bool BatchExecution::Parallel() const {
-  return pool != nullptr && pool->num_threads() > 1 && partitioner != nullptr &&
-         partitioner->num_shards() > 1;
-}
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -32,7 +25,6 @@ void BatchContext::AddRider(const WaitingRider& r) {
   assert(r.pickup_region != kInvalidRegion &&
          r.dropoff_region != kInvalidRegion);
   riders_.push_back(r);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
 }
 
 void BatchContext::AddDriver(const AvailableDriver& d) {
@@ -40,7 +32,6 @@ void BatchContext::AddDriver(const AvailableDriver& d) {
   drivers_by_region_[static_cast<size_t>(d.region)].push_back(
       static_cast<int>(drivers_.size()));
   drivers_.push_back(d);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
 }
 
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
@@ -51,45 +42,16 @@ void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
 
 void BatchContext::SetRiders(std::vector<WaitingRider> riders) {
   riders_ = std::move(riders);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
 }
 
 void BatchContext::SetDrivers(std::vector<AvailableDriver> drivers) {
   drivers_ = std::move(drivers);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
   for (auto& bucket : drivers_by_region_) bucket.clear();
   for (size_t j = 0; j < drivers_.size(); ++j) {
     assert(drivers_[j].region != kInvalidRegion);
     drivers_by_region_[static_cast<size_t>(drivers_[j].region)].push_back(
         static_cast<int>(j));
   }
-}
-
-void BatchContext::SetShardIndex(ShardIndex index) {
-  assert(index.partitioner != nullptr);
-  shard_index_ = std::move(index);
-}
-
-const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
-  if (execution_ == nullptr || execution_->partitioner == nullptr) {
-    return nullptr;
-  }
-  const RegionPartitioner* parts = execution_->partitioner;
-  if (shard_index_.partitioner == parts) return &shard_index_;
-  assert(parts->num_regions() == grid_.num_regions());
-  const size_t num_shards = static_cast<size_t>(parts->num_shards());
-  shard_index_.partitioner = parts;
-  shard_index_.riders.assign(num_shards, {});
-  shard_index_.drivers.assign(num_shards, {});
-  for (int i = 0; i < static_cast<int>(riders_.size()); ++i) {
-    int s = parts->shard_of(riders_[static_cast<size_t>(i)].pickup_region);
-    shard_index_.riders[static_cast<size_t>(s)].push_back(i);
-  }
-  for (int j = 0; j < static_cast<int>(drivers_.size()); ++j) {
-    int s = parts->shard_of(drivers_[static_cast<size_t>(j)].region);
-    shard_index_.drivers[static_cast<size_t>(s)].push_back(j);
-  }
-  return &shard_index_;
 }
 
 RegionSnapshot BatchContext::ServiceSnapshot(RegionId region) const {
@@ -144,63 +106,6 @@ double BatchContext::ExpectedIdleSeconds(RegionId region,
   auto it = idle_cache_.find(key);
   if (it != idle_cache_.end()) return it->second;
   double et = ComputeIdleSeconds(region, extra_drivers);
-  idle_cache_.emplace(key, et);
-  return et;
-}
-
-void BatchContext::WarmIdleCache(RegionId region, int extra_drivers,
-                                 double et) const {
-  idle_cache_.emplace(IdleCacheKey(region, extra_drivers), et);
-}
-
-void BatchContext::MergeIdleCache(
-    std::unordered_map<int64_t, double>&& cache) const {
-  if (idle_cache_.empty()) {
-    idle_cache_ = std::move(cache);
-    return;
-  }
-  idle_cache_.merge(cache);
-}
-
-// ------------------------------------------------------- ShardedBatchContext
-
-ShardedBatchContext::ShardedBatchContext(const BatchContext& parent,
-                                         const RegionPartitioner& partitioner,
-                                         int shard)
-    : parent_(parent), partitioner_(partitioner), shard_(shard) {
-  const BatchContext::ShardIndex* index = parent.shard_index();
-  if (index != nullptr && index->partitioner == &partitioner) {
-    rider_indices_ = &index->riders[static_cast<size_t>(shard)];
-    driver_indices_ = &index->drivers[static_cast<size_t>(shard)];
-    return;
-  }
-  // Hand-assembled context without a shared index: membership scan.
-  for (int i = 0; i < static_cast<int>(parent.riders().size()); ++i) {
-    if (partitioner.shard_of(
-            parent.riders()[static_cast<size_t>(i)].pickup_region) == shard) {
-      local_riders_.push_back(i);
-    }
-  }
-  for (int j = 0; j < static_cast<int>(parent.drivers().size()); ++j) {
-    if (partitioner.shard_of(
-            parent.drivers()[static_cast<size_t>(j)].region) == shard) {
-      local_drivers_.push_back(j);
-    }
-  }
-  rider_indices_ = &local_riders_;
-  driver_indices_ = &local_drivers_;
-}
-
-bool ShardedBatchContext::OwnsRegion(RegionId region) const {
-  return partitioner_.shard_of(region) == shard_;
-}
-
-double ShardedBatchContext::ExpectedIdleSeconds(RegionId region,
-                                                int extra_drivers) const {
-  int64_t key = BatchContext::IdleCacheKey(region, extra_drivers);
-  auto it = idle_cache_.find(key);
-  if (it != idle_cache_.end()) return it->second;
-  double et = parent_.ComputeIdleSeconds(region, extra_drivers);
   idle_cache_.emplace(key, et);
   return et;
 }

@@ -3,17 +3,11 @@
 //
 //   * riders/drivers are *materialised* — copied into the context's dense
 //     arrays in the canonical order (riders in arrival order, drivers by
-//     ascending id) — shard-parallel on the attached BatchExecution's
-//     ThreadPool: each worker fills a disjoint chunk of pre-sized slots
-//     and collects per-chunk shard partials, so there are no locks and the
-//     concatenated output is bit-identical to the serial fill;
+//     ascending id);
 //   * region demand/supply snapshots are read straight off the stages'
 //     incremental counters (OrderBook::demand_by_region, FleetState::
 //     available_by_region / rejoining_in_window) instead of the former
-//     per-batch recount over every rider, driver, and busy schedule;
-//   * the per-shard rider/driver index lists (BatchContext::ShardIndex)
-//     are produced in the same pass, replacing the former O(S·(R+D))
-//     per-shard membership scans of ShardedBatchContext.
+//     per-batch recount over every rider, driver, and busy schedule.
 #pragma once
 
 #include <memory>
@@ -30,12 +24,11 @@ namespace mrvd {
 
 class BatchBuilder {
  public:
-  /// `forecast` and `execution` may be null (no prediction / serial build).
-  /// All referenced objects must outlive the builder.
+  /// `forecast` may be null (no prediction). All referenced objects must
+  /// outlive the builder.
   BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                const DemandForecast* forecast, double window_seconds,
-               double reneging_beta, CandidateMode candidate_mode,
-               const BatchExecution* execution);
+               double reneging_beta, CandidateMode candidate_mode);
 
   /// Builds the batch at time `now`. Context rider index i is waiting()
   /// index i (every waiting rider is materialised, in order); context
@@ -48,10 +41,8 @@ class BatchBuilder {
       const std::vector<double>* demand_multipliers = nullptr) const;
 
  private:
-  void MaterialiseRiders(BatchContext* ctx, const OrderBook& orders,
-                         BatchContext::ShardIndex* index) const;
-  void MaterialiseDrivers(BatchContext* ctx, const FleetState& fleet,
-                          BatchContext::ShardIndex* index) const;
+  void MaterialiseRiders(BatchContext* ctx, const OrderBook& orders) const;
+  void MaterialiseDrivers(BatchContext* ctx, const FleetState& fleet) const;
   void BuildSnapshots(BatchContext* ctx, double now, const OrderBook& orders,
                       const FleetState& fleet,
                       const std::vector<double>* demand_multipliers) const;
@@ -62,7 +53,6 @@ class BatchBuilder {
   const double window_seconds_;
   const double reneging_beta_;
   const CandidateMode candidate_mode_;
-  const BatchExecution* execution_;
 };
 
 }  // namespace mrvd

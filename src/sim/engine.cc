@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/region_partitioner.h"
 #include "sim/assignment_applier.h"
 #include "sim/batch_builder.h"
 #include "sim/fleet_state.h"
@@ -18,7 +17,6 @@
 #include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
 
@@ -151,14 +149,8 @@ Status SimConfig::Validate() const {
         std::to_string(horizon_seconds));
   }
   if (num_threads < 0) {
-    return Status::InvalidArgument(
-        "num_threads must be >= 0 (0 = hardware concurrency), got " +
-        std::to_string(num_threads));
-  }
-  if (num_shards < 0) {
-    return Status::InvalidArgument(
-        "num_shards must be >= 0 (0 = derive from threads), got " +
-        std::to_string(num_shards));
+    return Status::InvalidArgument("num_threads must be >= 0, got " +
+                                   std::to_string(num_threads));
   }
   if (!(alpha > 0.0) || !std::isfinite(alpha)) {
     return Status::InvalidArgument("alpha (fee rate) must be positive and "
@@ -241,37 +233,21 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   OrderBook orders(*source, grid_, cost_model_, config_.alpha);
   ScenarioState scenario(script, drivers_, grid_);
 
-  // Parallel dispatch plumbing, created once and reused by every batch.
-  int threads = config_.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                         : config_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  std::optional<RegionPartitioner> partitioner;
-  BatchExecution execution;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    partitioner.emplace(
-        RegionPartitioner::RowBands(grid_, config_.ResolveShards(threads)));
-    execution.pool = pool.get();
-    execution.partitioner = &*partitioner;
-  }
   BatchBuilder builder(grid_, cost_model_, forecast_, config_.window_seconds,
-                       config_.reneging_beta, config_.candidate_mode,
-                       pool != nullptr ? &execution : nullptr);
+                       config_.reneging_beta, config_.candidate_mode);
   AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel,
                             config_.telemetry);
 
   // Telemetry (null session = off: every site below degrades to a pointer
   // check). Metrics are resolved once; the registry is written only from
   // this thread (see telemetry/metrics.h for the thread model). Counter
-  // values and the two per-batch histogram COUNTS are deterministic —
-  // invariant across thread counts — while every recorded duration and the
-  // per-shard histogram are execution metadata.
+  // values and the two per-batch histogram COUNTS are deterministic, while
+  // every recorded duration is execution metadata.
   telemetry::TelemetrySession* const tele = config_.telemetry;
   telemetry::Counter* tele_batches = nullptr;
   telemetry::Counter* tele_assignments = nullptr;
   telemetry::LogHistogram* tele_dispatch_hist = nullptr;
   telemetry::LogHistogram* tele_build_hist = nullptr;
-  telemetry::LogHistogram* tele_shard_hist = nullptr;
   if (tele != nullptr) {
     telemetry::MetricsRegistry& reg = tele->metrics();
     tele_batches = reg.counter("engine.batches");
@@ -280,7 +256,6 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
         "engine.dispatch_seconds", telemetry::MetricScope::kDeterministic);
     tele_build_hist = reg.histogram("engine.batch_build_seconds",
                                     telemetry::MetricScope::kDeterministic);
-    tele_shard_hist = reg.histogram("pipeline.shard_seconds");
   }
   int64_t stage_start_ns = 0;
   auto stage_begin = [&stage_start_ns] {
@@ -364,13 +339,6 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     observers.OnDispatchDone(now, dispatch_seconds, assignments);
     if (const DispatchCounters* counters = dispatcher.counters()) {
       observers.OnDispatchCounters(now, *counters);
-      if (tele_shard_hist != nullptr) {
-        // Per-shard parallel-phase wall times reach the registry here, on
-        // the coordinating thread — workers never touch the registry.
-        for (const ShardLoadStat& s : counters->shards) {
-          tele_shard_hist->Add(s.seconds);
-        }
-      }
     }
 
     // 6. Apply assignments and compact the served riders out of the book.

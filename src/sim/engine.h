@@ -6,8 +6,8 @@
 //
 // The engine is staged: FleetState (driver lifecycle + incremental supply
 // counters), OrderBook (arrivals, reneging, served-rider compaction +
-// incremental demand counters), BatchBuilder (shard-parallel context
-// materialisation off the incremental counters), and AssignmentApplier,
+// incremental demand counters), BatchBuilder (context materialisation off
+// the incremental counters), and AssignmentApplier,
 // with SimObserver hooks carrying every measurable event. Simulator::Run
 // wires the stages together; SimResult is produced by the MetricsCollector
 // observer.
@@ -52,15 +52,10 @@ struct SimConfig {
   /// Record (estimated, real) idle-time samples (Table 3 / Fig. 6 study).
   bool record_idle_samples = true;
 
-  /// Dispatch parallelism: worker threads for the region-sharded batch
-  /// pipeline. 1 = serial (default); 0 = hardware concurrency. Any value
-  /// produces bit-identical results — sharding only moves the expensive
-  /// candidate generation and idle-time solves onto the pool.
+  /// Ignored by the engine: every batch runs on the calling thread. Kept
+  /// (validated >= 0) only because the perfbench harness still writes it
+  /// for its thread-count identity replay; it goes once that replay does.
   int num_threads = 1;
-
-  /// Region shards for the pipeline; 0 derives 2x the worker count
-  /// (clamped to the grid's row count by the partitioner).
-  int num_shards = 0;
 
   /// Borrowed telemetry session (SimulationBuilder::WithTelemetry). Null =
   /// telemetry off: every instrumentation site degrades to a pointer
@@ -72,16 +67,8 @@ struct SimConfig {
   /// and without a session is enforced by tests/telemetry_test.cc).
   telemetry::TelemetrySession* telemetry = nullptr;
 
-  /// Shard count the engine's pipeline uses with `threads` workers:
-  /// num_shards when set, else 2x the workers (the partitioner clamps to
-  /// the grid's row count). Benches and tests route their shard choice
-  /// through this so they measure the configuration the engine runs.
-  int ResolveShards(int threads) const {
-    return num_shards > 0 ? num_shards : 2 * threads;
-  }
-
   /// Rejects configs the engine cannot run: non-positive batch_interval /
-  /// window_seconds / horizon_seconds, negative num_threads / num_shards,
+  /// window_seconds / horizon_seconds, negative num_threads,
   /// negative reneging_beta or non-positive alpha. Called by
   /// SimulationBuilder::Build() (returning the Status to the caller) and by
   /// Simulator's constructor (which aborts on an invalid config — reaching

@@ -73,20 +73,11 @@ struct SimResult {
   // Dispatcher work counters summed over the run (Dispatcher::counters);
   // all zero for dispatchers that don't track them. For LS,
   // dispatch_proposals_recomputed / dispatch_proposals is the conflict rate
-  // of the parallel sweep decomposition (0 on the serial path).
+  // of the snapshot sweep (0 on the reference sweep).
   int64_t dispatch_sweeps = 0;
   int64_t dispatch_swaps_applied = 0;
   int64_t dispatch_proposals = 0;
   int64_t dispatch_proposals_recomputed = 0;
-
-  // Shard-load telemetry of the parallel pipeline (empty/zero on serial
-  // runs — this is diagnostics about HOW the run executed, not about its
-  // outcome, which is partition-invariant). Per batch, imbalance = max
-  // shard over mean shard of the pipeline's per-shard rider counts
-  // (shard_size_imbalance) and parallel-phase wall times
-  // (shard_time_imbalance) under the static row-band partition.
-  RunningStats shard_size_imbalance;
-  RunningStats shard_time_imbalance;
 
   double ServiceRate() const {
     return total_orders == 0

@@ -34,26 +34,6 @@ void MetricsCollector::OnDispatchCounters(double /*now*/,
   result_.dispatch_swaps_applied += c.swaps_applied;
   result_.dispatch_proposals += c.proposals;
   result_.dispatch_proposals_recomputed += c.proposals_recomputed;
-  if (!c.shards.empty()) {
-    int64_t max_riders = 0;
-    int64_t total_riders = 0;
-    double max_seconds = 0.0;
-    double total_seconds = 0.0;
-    for (const ShardLoadStat& s : c.shards) {
-      max_riders = std::max(max_riders, s.riders);
-      total_riders += s.riders;
-      max_seconds = std::max(max_seconds, s.seconds);
-      total_seconds += s.seconds;
-    }
-    const auto n = static_cast<double>(c.shards.size());
-    if (total_riders > 0) {
-      result_.shard_size_imbalance.Add(static_cast<double>(max_riders) * n /
-                                       static_cast<double>(total_riders));
-    }
-    if (total_seconds > 0.0) {
-      result_.shard_time_imbalance.Add(max_seconds * n / total_seconds);
-    }
-  }
 }
 
 void MetricsCollector::OnAssignmentApplied(double /*now*/,

@@ -81,7 +81,7 @@ class SimObserver {
  public:
   virtual ~SimObserver() = default;
 
-  /// The batch context is complete (riders, drivers, snapshots, sharding).
+  /// The batch context is complete (riders, drivers, snapshots).
   /// `build_seconds` is the wall time of the incremental construction.
   virtual void OnBatchBuilt(double now, double build_seconds,
                             const BatchContext& ctx) {
@@ -95,8 +95,8 @@ class SimObserver {
   }
 
   /// The dispatcher's work counters for the batch (sweeps, swaps,
-  /// speculation stats — sim/batch.h). Fires right after OnDispatchDone,
-  /// and only for dispatchers that track counters.
+  /// recomputed proposals — sim/batch.h). Fires right after
+  /// OnDispatchDone, and only for dispatchers that track counters.
   virtual void OnDispatchCounters(double now, const DispatchCounters& c) {
     (void)now, (void)c;
   }

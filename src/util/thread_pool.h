@@ -1,10 +1,11 @@
-// Reusable fixed-size worker pool for the batch-dispatch pipeline.
+// Fixed-size worker pool for across-run parallelism (ExperimentRunner
+// replications, CampaignRunner cells). Batches themselves always run on the
+// calling thread.
 //
-// The pool is created once (per Simulator::Run or per bench) and reused
-// across every batch: submitting work never spawns threads. With
-// `num_threads <= 1` no workers are started and every task runs inline on
-// the caller's thread, so the serial path has zero threading overhead and
-// the parallel code can be written against one interface.
+// Submitting work never spawns threads. With `num_threads <= 1` no workers
+// are started and every task runs inline on the caller's thread, so the
+// serial path has zero threading overhead and the parallel code can be
+// written against one interface.
 #pragma once
 
 #include <deque>

@@ -79,13 +79,7 @@ TEST(SimConfigValidateTest, RejectsNegativeParallelism) {
   EXPECT_FALSE(cfg.Validate().ok());
 
   cfg = SimConfig{};
-  cfg.num_shards = -2;
-  EXPECT_FALSE(cfg.Validate().ok());
-
-  // 0 is the documented "derive" value for both.
-  cfg = SimConfig{};
   cfg.num_threads = 0;
-  cfg.num_shards = 0;
   EXPECT_TRUE(cfg.Validate().ok());
 }
 

@@ -163,16 +163,16 @@ TEST(ScenarioCatalogTest, RosterAndFactories) {
 TEST(ConfigDeltaTest, AppliesAndCanonicalises) {
   SimConfig cfg;
   Status st = ApplyConfigDelta(
-      "horizon_seconds=7200, batch_interval=10,num_threads=4", &cfg);
+      "horizon_seconds=7200, batch_interval=10,alpha=2", &cfg);
   ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(cfg.horizon_seconds, 7200.0);
   EXPECT_EQ(cfg.batch_interval, 10.0);
-  EXPECT_EQ(cfg.num_threads, 4);
+  EXPECT_EQ(cfg.alpha, 2.0);
 
   StatusOr<std::string> canonical = CanonicalizeConfigDelta(
-      " num_threads = 04 , batch_interval=10.0 ");
+      " batch_interval=10.0 , alpha = 02 ");
   ASSERT_TRUE(canonical.ok()) << canonical.status();
-  EXPECT_EQ(*canonical, "batch_interval=10,num_threads=4");
+  EXPECT_EQ(*canonical, "alpha=2,batch_interval=10");
   StatusOr<std::string> empty = CanonicalizeConfigDelta("  ");
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(*empty, "");
@@ -182,7 +182,24 @@ TEST(ConfigDeltaTest, AppliesAndCanonicalises) {
   EXPECT_NE(unknown.status().message().find("batch_interval"),
             std::string::npos);
   EXPECT_FALSE(ApplyConfigDelta("warp_speed=9", &cfg).ok());
-  EXPECT_FALSE(ApplyConfigDelta("num_threads=many", &cfg).ok());
+  EXPECT_FALSE(ApplyConfigDelta("alpha=many", &cfg).ok());
+}
+
+TEST(ConfigDeltaTest, ThreadAndShardKeysAreGone) {
+  // Batches always run on the calling thread, so neither engine thread
+  // count nor region shards is a campaign axis any more.
+  for (const char* delta : {"num_threads=4", "num_shards=8"}) {
+    SimConfig cfg;
+    Status st = ApplyConfigDelta(delta, &cfg);
+    ASSERT_FALSE(st.ok()) << delta;
+    EXPECT_NE(st.message().find("unknown config-delta key"), std::string::npos)
+        << st;
+    EXPECT_NE(st.message().find("known keys: batch_interval"),
+              std::string::npos)
+        << st;
+    EXPECT_EQ(cfg.num_threads, 1) << delta;
+    EXPECT_FALSE(CanonicalizeConfigDelta(delta).ok()) << delta;
+  }
 }
 
 // ---------------------------------------------------------- grid expansion
@@ -231,14 +248,14 @@ TEST(GridExpansionTest, KeysAreSpellingInvariant) {
   a.workloads = {"nyc:orders=4000,drivers=60"};
   a.dispatchers = {"LS:max_sweeps=8"};
   a.seeds = {7};
-  a.config_deltas = {"batch_interval=10,num_threads=2"};
+  a.config_deltas = {"batch_interval=10,alpha=2"};
 
   CampaignSpec b;
   b.workloads = {"nyc: drivers = 60 , orders=4000, day=1"};  // default day
   b.scenarios = {"none"};  // the implicit default, spelled out
   b.dispatchers = {" LS : max_sweeps = 08 "};  // respelled numeric
   b.seeds = {7};
-  b.config_deltas = {" num_threads=2 , batch_interval=10.0 "};
+  b.config_deltas = {" alpha=2.0 , batch_interval=10.0 "};
 
   StatusOr<std::vector<CampaignCell>> cells_a = ExpandGrid(a);
   StatusOr<std::vector<CampaignCell>> cells_b = ExpandGrid(b);

@@ -10,13 +10,11 @@
 #include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
-#include "geo/region_partitioner.h"
 #include "geo/travel.h"
 #include "roadnet/graph.h"
 #include "roadnet/shortest_path.h"
 #include "sim/batch.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
 namespace {
@@ -305,12 +303,9 @@ TEST(CandidateOracleTest, MatchesBruteForceExactly) {
                             {"manhattan", &manhattan},
                             {"road", &road},
                             {"unbounded", &unbounded}};
-  ThreadPool pool(4);
 
   int64_t total_pairs = 0;
   for (const Grid* grid : {&nyc16, &test4}) {
-    const RegionPartitioner parts = RegionPartitioner::RowBands(*grid, 4);
-    const BatchExecution exec{&pool, &parts};
     for (const CostCase& cost : costs) {
       for (CandidateMode mode :
            {CandidateMode::kRingExpand, CandidateMode::kRegionLocal}) {
@@ -323,14 +318,12 @@ TEST(CandidateOracleTest, MatchesBruteForceExactly) {
           auto ctx = MakeOracleBatch(*grid, *cost.model, mode, seed);
           const std::vector<CandidatePair> want = BruteForcePairs(*ctx);
           total_pairs += static_cast<int64_t>(want.size());
-          ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " serial");
-          ctx->SetExecution(&exec);
-          ExpectSamePairs(want, GenerateValidPairs(*ctx), label + " 4 threads");
+          ExpectSamePairs(want, GenerateValidPairs(*ctx), label);
           std::vector<CandidatePair> flattened;
           for (const auto& g : GenerateValidPairsPerRider(*ctx)) {
             flattened.insert(flattened.end(), g.begin(), g.end());
           }
-          ExpectSamePairs(want, flattened, label + " per-rider 4 threads");
+          ExpectSamePairs(want, flattened, label + " per-rider");
         }
       }
     }

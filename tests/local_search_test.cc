@@ -1,12 +1,12 @@
 // Direct unit tests for LS swap semantics (Algorithm 3) and the
-// conflict-decomposed parallel sweep:
+// conflict-decomposed snapshot sweep:
 //   * the same-dropoff-region `extra` adjustment (scoring a candidate as if
 //     the current rider were released) actually flips swap decisions,
 //   * the max_sweeps bound and the no-swap convergence exit,
 //   * conflict-partition correctness: conflicting slots never share an
 //     independence level,
-//   * parallel=1 reproduces parallel=0 bit-identically at several thread
-//     counts, with sane work counters.
+//   * the snapshot sweep reproduces the reference sequential sweep
+//     bit-identically, with sane work counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,11 +18,9 @@
 #include "dispatch/conflict_partition.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
-#include "geo/region_partitioner.h"
 #include "geo/travel.h"
 #include "sim/batch.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace mrvd {
@@ -125,12 +123,12 @@ TEST_F(LocalSearchSwapTest, SameRegionCandidateScoredWithCurrentReleased) {
 
   // Greedy assigns rider 0 (longer trip -> lower IR); one sweep must then
   // swap to rider 1, which only improves under the extra-1 scoring.
-  for (bool parallel : {false, true}) {
-    auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/1, parallel);
+  for (bool reference : {true, false}) {
+    auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/1, reference);
     std::vector<Assignment> out;
     ls->Dispatch(ctx_, &out);
-    ASSERT_EQ(out.size(), 1u) << "parallel=" << parallel;
-    EXPECT_EQ(out[0].rider_index, 1) << "parallel=" << parallel;
+    ASSERT_EQ(out.size(), 1u) << "reference=" << reference;
+    EXPECT_EQ(out[0].rider_index, 1) << "reference=" << reference;
     const DispatchCounters* c = ls->counters();
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->sweeps, 1);
@@ -143,13 +141,13 @@ TEST_F(LocalSearchSwapTest, MaxSweepsBoundsTheOscillation) {
   // The 2-cycle swaps every sweep, so the dispatcher must run exactly
   // max_sweeps sweeps and the final rider is determined by sweep parity.
   for (int max_sweeps : {1, 2, 3, 6}) {
-    for (bool parallel : {false, true}) {
-      auto ls = MakeLocalSearchDispatcher(max_sweeps, parallel);
+    for (bool reference : {true, false}) {
+      auto ls = MakeLocalSearchDispatcher(max_sweeps, reference);
       std::vector<Assignment> out;
       ls->Dispatch(ctx_, &out);
       ASSERT_EQ(out.size(), 1u);
       EXPECT_EQ(out[0].rider_index, max_sweeps % 2 == 1 ? 1 : 0)
-          << "max_sweeps=" << max_sweeps << " parallel=" << parallel;
+          << "max_sweeps=" << max_sweeps << " reference=" << reference;
       const DispatchCounters* c = ls->counters();
       ASSERT_NE(c, nullptr);
       EXPECT_EQ(c->sweeps, max_sweeps);
@@ -169,15 +167,15 @@ TEST_F(LocalSearchSwapTest, ConvergedAssignmentExitsAfterOneSweep) {
   ASSERT_NE(ctx_.riders()[0].dropoff_region, ctx_.riders()[1].dropoff_region);
   FinalizeSnapshots();
 
-  for (bool parallel : {false, true}) {
-    auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/16, parallel);
+  for (bool reference : {true, false}) {
+    auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/16, reference);
     std::vector<Assignment> out;
     ls->Dispatch(ctx_, &out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].rider_index, 1);  // long trip -> lower idle ratio
     const DispatchCounters* c = ls->counters();
     ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->sweeps, 1) << "parallel=" << parallel;
+    EXPECT_EQ(c->sweeps, 1) << "reference=" << reference;
     EXPECT_EQ(c->swaps_applied, 0);
     EXPECT_EQ(c->proposals_recomputed, 0);
   }
@@ -319,61 +317,55 @@ TEST(ConflictPartitionTest, CandidateListsMatchTheMatchedPairs) {
   }
 }
 
-TEST(ParallelLocalSearchTest, BitIdenticalToSerialAcrossThreadCounts) {
+TEST(SnapshotSweepTest, BitIdenticalToReferenceSweep) {
   Grid grid = MakeNycGrid16x16();
   StraightLineCostModel cost(7.0, 1.3);
   for (uint64_t seed : {3u, 20190417u}) {
-    auto serial_ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
-    auto serial = MakeLocalSearchDispatcher(/*max_sweeps=*/16,
-                                            /*parallel=*/false);
+    auto reference_ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
+    auto reference = MakeLocalSearchDispatcher(/*max_sweeps=*/16,
+                                               /*reference_sweep=*/true);
     std::vector<Assignment> want;
-    serial->Dispatch(*serial_ctx, &want);
-    ASSERT_GE(want.size(), 64u) << "batch too small to exercise the pool";
-    const DispatchCounters* sc = serial->counters();
-    ASSERT_NE(sc, nullptr);
-    EXPECT_EQ(sc->proposals_recomputed, 0);
+    reference->Dispatch(*reference_ctx, &want);
+    ASSERT_GE(want.size(), 64u) << "batch too small to exercise the sweep";
+    const DispatchCounters* rc = reference->counters();
+    ASSERT_NE(rc, nullptr);
+    EXPECT_EQ(rc->proposals_recomputed, 0);
 
-    for (int threads : {1, 2, 4}) {
-      ThreadPool pool(threads);
-      RegionPartitioner parts = RegionPartitioner::RowBands(grid, 8);
-      BatchExecution exec{&pool, &parts};
-      auto ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
-      ctx->SetExecution(&exec);
-      auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/16,
-                                          /*parallel=*/true);
-      std::vector<Assignment> got;
-      ls->Dispatch(*ctx, &got);
-      ASSERT_EQ(got.size(), want.size()) << threads << " threads";
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].rider_index, want[i].rider_index)
-            << "slot " << i << " at " << threads << " threads, seed " << seed;
-        ASSERT_EQ(got[i].driver_index, want[i].driver_index)
-            << "slot " << i << " at " << threads << " threads, seed " << seed;
-      }
-      const DispatchCounters* pc = ls->counters();
-      ASSERT_NE(pc, nullptr);
-      // Identical refinement trajectory -> identical work counters; only
-      // the speculation-miss count is a parallel-path concept.
-      EXPECT_EQ(pc->sweeps, sc->sweeps);
-      EXPECT_EQ(pc->swaps_applied, sc->swaps_applied);
-      EXPECT_EQ(pc->proposals, sc->proposals);
-      EXPECT_GE(pc->proposals_recomputed, 0);
-      EXPECT_LE(pc->proposals_recomputed, pc->proposals);
+    auto ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
+    auto ls = MakeLocalSearchDispatcher(/*max_sweeps=*/16);
+    std::vector<Assignment> got;
+    ls->Dispatch(*ctx, &got);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].rider_index, want[i].rider_index)
+          << "slot " << i << ", seed " << seed;
+      ASSERT_EQ(got[i].driver_index, want[i].driver_index)
+          << "slot " << i << ", seed " << seed;
     }
+    const DispatchCounters* sc = ls->counters();
+    ASSERT_NE(sc, nullptr);
+    // Identical refinement trajectory -> identical work counters; only
+    // the recompute count is a snapshot-sweep concept.
+    EXPECT_EQ(sc->sweeps, rc->sweeps);
+    EXPECT_EQ(sc->swaps_applied, rc->swaps_applied);
+    EXPECT_EQ(sc->proposals, rc->proposals);
+    EXPECT_GE(sc->proposals_recomputed, 0);
+    EXPECT_LE(sc->proposals_recomputed, sc->proposals);
   }
 }
 
-TEST(ParallelLocalSearchTest, RegistrySpecSelectsThePath) {
+TEST(SnapshotSweepTest, RegistrySpecTakesOnlyMaxSweeps) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();
   StatusOr<std::string> canonical = registry.CanonicalizeSpec("LS");
   ASSERT_TRUE(canonical.ok()) << canonical.status();
-  EXPECT_EQ(*canonical, "LS:max_sweeps=16,parallel=1");
+  EXPECT_EQ(*canonical, "LS:max_sweeps=16");
 
-  for (const char* spec : {"LS:parallel=0", "LS:max_sweeps=8,parallel=1"}) {
-    StatusOr<std::unique_ptr<Dispatcher>> d = registry.Create(spec);
-    ASSERT_TRUE(d.ok()) << spec << ": " << d.status();
-    EXPECT_EQ((*d)->name(), "LS");
-  }
+  StatusOr<std::unique_ptr<Dispatcher>> d =
+      registry.Create("LS:max_sweeps=8");
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ((*d)->name(), "LS");
+  // The sweep choice is not a registry parameter.
+  EXPECT_FALSE(registry.Create("LS:parallel=0").ok());
 }
 
 }  // namespace

@@ -100,10 +100,17 @@ INSTANTIATE_TEST_SUITE_P(
       double m = std::get<1>(info.param);
       double b = std::get<2>(info.param);
       int64_t k = std::get<3>(info.param);
-      return "l" + std::to_string(static_cast<int>(l * 10)) + "_m" +
-             std::to_string(static_cast<int>(m * 10)) + "_b" +
-             std::to_string(static_cast<int>(b * 100)) + "_k" +
-             std::to_string(k);
+      // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+      // inlined `const char* + std::string` operator chain.
+      std::string name = "l";
+      name += std::to_string(static_cast<int>(l * 10));
+      name += "_m";
+      name += std::to_string(static_cast<int>(m * 10));
+      name += "_b";
+      name += std::to_string(static_cast<int>(b * 100));
+      name += "_k";
+      name += std::to_string(k);
+      return name;
     });
 
 // ---------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "roadnet/graph.h"
 #include "roadnet/shortest_path.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mrvd {
 namespace {
@@ -164,6 +167,33 @@ TEST(RoadNetworkCostModelTest, CostsArePositiveAndRoughlyMetric) {
   double straight = EquirectangularMeters(a, b) / 7.0;
   EXPECT_GE(t, straight * 0.95);
   EXPECT_LE(t, straight * 2.2);
+}
+
+// ExperimentRunner workers sharing one Simulation query one model from
+// several threads; its reused search engine must give each caller the same
+// answer it gives a lone caller (and TSan must see no race).
+TEST(RoadNetworkCostModelTest, ConcurrentQueriesMatchSerialAnswers) {
+  auto net = std::make_shared<RoadNetwork>(
+      MakeGridNetwork(kNycBoundingBox, 16, 16, 7.0, 0.25, 5));
+  RoadNetworkCostModel model(net, kNycBoundingBox, 7.0);
+  Rng rng(6);
+  std::vector<std::pair<LatLon, LatLon>> trips(400);
+  for (auto& [a, b] : trips) {
+    a = {rng.Uniform(40.58, 40.92), rng.Uniform(-74.03, -73.77)};
+    b = {rng.Uniform(40.58, 40.92), rng.Uniform(-74.03, -73.77)};
+  }
+  std::vector<double> serial(trips.size());
+  for (size_t i = 0; i < trips.size(); ++i) {
+    serial[i] = model.TravelSeconds(trips[i].first, trips[i].second);
+  }
+  std::vector<double> parallel(trips.size(), -1.0);
+  ThreadPool pool(4);
+  pool.ParallelFor(static_cast<int>(trips.size()), [&](int i) {
+    parallel[i] = model.TravelSeconds(trips[i].first, trips[i].second);
+  });
+  for (size_t i = 0; i < trips.size(); ++i) {
+    EXPECT_EQ(parallel[i], serial[i]) << "trip " << i;
+  }
 }
 
 TEST(GridNetworkTest, NodeAndEdgeCounts) {

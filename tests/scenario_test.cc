@@ -224,35 +224,30 @@ TEST_F(ScenarioEngineTest, SignedOffDriversNeverReceiveAssignments) {
     if (DispatcherRegistry::Global().RequiresZeroPickupTravel(name)) {
       cfg.zero_pickup_travel = true;
     }
-    for (int threads : {1, 4}) {
-      cfg.num_threads = threads;
-      auto dispatcher = MakeSeeded(name, /*seed=*/5);
-      ASSERT_NE(dispatcher, nullptr);
-      Simulator sim(cfg, workload_, gen_->grid(), cost_, nullptr);
-      AssignmentRecorder rec;
-      SimResult r = sim.Run(*dispatcher, script, &rec);
-      const std::string label =
-          name + " @" + std::to_string(threads);
+    auto dispatcher = MakeSeeded(name, /*seed=*/5);
+    ASSERT_NE(dispatcher, nullptr);
+    Simulator sim(cfg, workload_, gen_->grid(), cost_, nullptr);
+    AssignmentRecorder rec;
+    SimResult r = sim.Run(*dispatcher, script, &rec);
 
-      ASSERT_GT(r.served_orders, 0) << label;
-      EXPECT_EQ(r.driver_sign_offs, num_off) << label;
-      EXPECT_EQ(r.driver_sign_ons, num_off) << label;
-      EXPECT_EQ(r.cancelled_orders, 0) << label;
+    ASSERT_GT(r.served_orders, 0) << name;
+    EXPECT_EQ(r.driver_sign_offs, num_off) << name;
+    EXPECT_EQ(r.driver_sign_ons, num_off) << name;
+    EXPECT_EQ(r.cancelled_orders, 0) << name;
 
-      // The invariant: while a driver is off shift, no new assignment may
-      // reference it. (AssignmentEvent::driver_id and the script share the
-      // workload DriverSpec::id space.)
-      bool assigned_during_off = false, assigned_after_on = false;
-      for (const auto& [now, driver] : rec.assignments) {
-        if (driver < num_off && now >= off_at && now < on_at) {
-          assigned_during_off = true;
-        }
-        if (driver < num_off && now >= on_at) assigned_after_on = true;
+    // The invariant: while a driver is off shift, no new assignment may
+    // reference it. (AssignmentEvent::driver_id and the script share the
+    // workload DriverSpec::id space.)
+    bool assigned_during_off = false, assigned_after_on = false;
+    for (const auto& [now, driver] : rec.assignments) {
+      if (driver < num_off && now >= off_at && now < on_at) {
+        assigned_during_off = true;
       }
-      EXPECT_FALSE(assigned_during_off) << label;
-      // The second shift actually comes back to work.
-      EXPECT_TRUE(assigned_after_on) << label;
+      if (driver < num_off && now >= on_at) assigned_after_on = true;
     }
+    EXPECT_FALSE(assigned_during_off) << name;
+    // The second shift actually comes back to work.
+    EXPECT_TRUE(assigned_after_on) << name;
   }
 }
 
@@ -423,6 +418,75 @@ TEST_F(ScenarioEngineTest, TwoShiftSurgeCancellationDayEndToEnd) {
         EXPECT_LT(driver, n / 2) << name << " at t=" << now;
       }
     }
+  }
+}
+
+// A scripted rush hour funnels ~70% of the window's arrivals into grid
+// rows 0..2 and surges those rows' predicted demand (the nyc-skew catalog
+// workload): the skewed day must be well formed and every dispatcher,
+// UPPER included, must replay it identically.
+TEST(SkewedDayTest, RowBandRushHourReplaysIdenticallyAcrossRoster) {
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 3000.0;  // scaled by the short horizon below
+  gcfg.seed = 20190417;
+  NycLikeGenerator gen(gcfg);
+  const Grid& grid = gen.grid();
+  const double surge_start = 1800.0;
+  const double surge_end = 7200.0;
+  const Workload day = gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/40);
+  const Workload workload = SkewWorkloadRows(
+      day, grid, surge_start, surge_end, /*share=*/0.7, /*row_lo=*/0,
+      /*row_hi=*/2, /*seed=*/gcfg.seed ^ 0x5EEDULL);
+
+  ASSERT_EQ(workload.orders.size(), day.orders.size());
+  int in_window = 0, in_band = 0;
+  for (size_t i = 0; i < workload.orders.size(); ++i) {
+    const Order& o = workload.orders[i];
+    EXPECT_EQ(o.id, day.orders[i].id);
+    EXPECT_EQ(o.request_time, day.orders[i].request_time);
+    if (o.request_time < surge_start || o.request_time >= surge_end) {
+      EXPECT_EQ(o.pickup.lat, day.orders[i].pickup.lat);
+      EXPECT_EQ(o.pickup.lon, day.orders[i].pickup.lon);
+      continue;
+    }
+    ++in_window;
+    if (grid.RowOf(grid.RegionOf(o.pickup)) <= 2) ++in_band;
+  }
+  ASSERT_GT(in_window, 20);
+  EXPECT_GE(in_band, in_window * 6 / 10);
+
+  ScenarioDayConfig scfg;
+  scfg.surges.push_back(RowBandSurge(grid, 0, 2, surge_start, surge_end,
+                                     /*multiplier=*/2.0));
+  ASSERT_EQ(scfg.surges.front().regions.size(),
+            static_cast<size_t>(3 * grid.cols()));
+  const ScenarioScript script = BuildScenarioDay(workload, scfg);
+
+  StraightLineCostModel cost(7.0, 1.3);
+  for (const std::string& name : FullRoster()) {
+    SimConfig cfg;
+    cfg.horizon_seconds = 2.5 * 3600.0;
+    cfg.batch_interval = 30.0;
+    cfg.zero_pickup_travel =
+        DispatcherRegistry::Global().RequiresZeroPickupTravel(name);
+    Simulator sim(cfg, workload, grid, cost, nullptr);
+    auto d1 = MakeSeeded(name);
+    auto d2 = MakeSeeded(name);
+    ASSERT_NE(d1, nullptr) << name;
+    SimResult a = sim.Run(*d1, script);
+    SimResult b = sim.Run(*d2, script);
+    EXPECT_GT(a.served_orders, 0) << name;
+    EXPECT_EQ(a.surge_changes, 2) << name;
+    EXPECT_EQ(a.served_orders, b.served_orders) << name;
+    EXPECT_EQ(a.reneged_orders, b.reneged_orders) << name;
+    EXPECT_EQ(a.cancelled_orders, b.cancelled_orders) << name;
+    EXPECT_EQ(a.total_orders, b.total_orders) << name;
+    EXPECT_EQ(a.total_revenue, b.total_revenue) << name;  // bit-exact
+    EXPECT_EQ(a.num_batches, b.num_batches) << name;
+    EXPECT_EQ(a.served_wait_seconds.count(), b.served_wait_seconds.count())
+        << name;
+    EXPECT_EQ(a.served_wait_seconds.mean(), b.served_wait_seconds.mean())
+        << name;
   }
 }
 

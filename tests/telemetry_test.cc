@@ -1,17 +1,19 @@
 // Telemetry subsystem (src/telemetry/ and its engine wiring): LogHistogram
 // edge cases (empty / single sample / extreme magnitudes), the registry's
-// deterministic-signature contract across engine thread counts {1, 4},
-// trace-span recording in synchronous and async-drain modes (the drain
-// thread's shutdown handshake runs under TSan in CI), Chrome-trace export
-// well-formedness, bit-identity of results with telemetry on vs off, and
-// ObserverList/ObserverChain forwarding of the OnBatchTimings /
-// OnRunTelemetry hooks.
+// deterministic-signature contract across repeated runs, trace-span
+// recording in synchronous and async-drain modes (the drain thread's
+// shutdown handshake runs under TSan in CI), Chrome-trace export
+// well-formedness with spans from several threads, bit-identity of results
+// with telemetry on vs off, and ObserverList/ObserverChain forwarding of
+// the OnBatchTimings / OnRunTelemetry hooks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -149,7 +151,7 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
   reg.counter("engine.batches")->Add(12);
   reg.histogram("engine.dispatch_seconds", MetricScope::kDeterministic)
       ->Add(0.003);
-  reg.gauge("pipeline.shards")->Set(8.0);
+  reg.gauge("runner.threads")->Set(8.0);
 
   StatusOr<JsonValue> doc = ParseJson(reg.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
@@ -169,10 +171,10 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
 
   const JsonValue* gauges = doc->Find("gauges");
   ASSERT_NE(gauges, nullptr);
-  const JsonValue* shards = gauges->Find("pipeline.shards");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(*shards->GetDouble("value"), 8.0);
-  EXPECT_EQ(*shards->GetString("scope"), "execution");
+  const JsonValue* threads = gauges->Find("runner.threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(*threads->GetDouble("value"), 8.0);
+  EXPECT_EQ(*threads->GetString("scope"), "execution");
 }
 
 // ------------------------------------------------------------- TraceSpans
@@ -355,12 +357,11 @@ TEST_F(EngineTelemetryTest, TelemetryDoesNotChangeResults) {
   EXPECT_EQ(with->dispatch_swaps_applied, baseline->dispatch_swaps_applied);
 }
 
-TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossThreads) {
+TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossRuns) {
   std::vector<std::string> signatures;
-  for (int threads : {1, 4}) {
+  for (int run = 0; run < 2; ++run) {
     TelemetrySession session;
-    StatusOr<Simulation> sim =
-        MakeBuilder().Threads(threads).WithTelemetry(&session).Build();
+    StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
     ASSERT_TRUE(sim.ok()) << sim.status();
     StatusOr<SimResult> result = sim->Run("LS");
     ASSERT_TRUE(result.ok()) << result.status();
@@ -394,10 +395,23 @@ TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossThreads) {
 
 TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
   TelemetrySession session;  // tracing on, async drain on
-  StatusOr<Simulation> sim =
-      MakeBuilder().Threads(4).WithTelemetry(&session).Build();
+  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
   ASSERT_TRUE(sim.ok()) << sim.status();
+  // Pool workers record spans into their own buffers while the engine runs
+  // on this thread, so the trace holds spans from several threads.
+  constexpr int kWorkers = 3;
+  constexpr int kProbeSpans = 200;
+  ThreadPool pool(kWorkers);
+  std::vector<std::future<void>> probes;
+  for (int w = 0; w < kWorkers; ++w) {
+    probes.push_back(pool.Submit([&session] {
+      for (int i = 0; i < kProbeSpans; ++i) {
+        telemetry::TraceSpan span(&session, "worker_probe");
+      }
+    }));
+  }
   StatusOr<SimResult> result = sim->Run("LS");
+  for (auto& f : probes) f.get();
   ASSERT_TRUE(result.ok()) << result.status();
   session.Finish();
   EXPECT_GT(session.drained_events(), 0);
@@ -413,19 +427,25 @@ TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
   ASSERT_TRUE(events->is_array());
   int64_t batch_spans = 0;
   int64_t dispatch_spans = 0;
+  int64_t probe_spans = 0;
+  std::set<int64_t> tids;
   for (const JsonValue& e : events->array()) {
     if (*e.GetString("ph") != "X") continue;
     const int64_t tid = *e.GetInt64("tid");
     EXPECT_GE(tid, 1);
+    tids.insert(tid);
     EXPECT_GE(*e.GetDouble("ts"), 0.0);
     EXPECT_GE(*e.GetDouble("dur"), 0.0);
     const std::string name = *e.GetString("name");
     if (name == "batch") ++batch_spans;
     if (name == "dispatch") ++dispatch_spans;
+    if (name == "worker_probe") ++probe_spans;
   }
   // One batch span and one nested dispatch span per engine batch.
   EXPECT_EQ(batch_spans, result->num_batches);
   EXPECT_EQ(dispatch_spans, result->num_batches);
+  EXPECT_EQ(probe_spans, kWorkers * kProbeSpans);
+  EXPECT_GT(tids.size(), 1u);
 }
 
 // -------------------------------------------------- observer forwarding

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "campaign/workload_catalog.h"
+#include "dispatch/dispatchers.h"
 #include "sim/metrics.h"
 #include "workload/tlc_parser.h"
 
@@ -90,9 +92,12 @@ TEST(TlcCatalogTest, BuildsAndRunsTheFixture) {
   EXPECT_EQ(result->served_orders + result->reneged_orders,
             result->total_orders);
 
-  // The conflict-decomposed parallel sweep must reproduce the sequential
-  // sweep on a CSV-derived workload too, aggregates included.
-  StatusOr<SimResult> serial = sim->Run("LS:max_sweeps=8,parallel=0");
+  // The snapshot sweep must reproduce the reference sequential sweep on a
+  // CSV-derived workload too, aggregates included.
+  std::unique_ptr<Dispatcher> reference =
+      MakeLocalSearchDispatcher(/*max_sweeps=*/8, /*reference_sweep=*/true);
+  StatusOr<SimResult> serial =
+      sim->RunWith(sim->config(), *reference, sim->scenario());
   ASSERT_TRUE(serial.ok()) << serial.status();
   EXPECT_EQ(result->served_orders, serial->served_orders);
   EXPECT_EQ(result->reneged_orders, serial->reneged_orders);
@@ -101,7 +106,7 @@ TEST(TlcCatalogTest, BuildsAndRunsTheFixture) {
             serial->served_wait_seconds.sum());
   EXPECT_EQ(result->dispatch_sweeps, serial->dispatch_sweeps);
   EXPECT_EQ(result->dispatch_swaps_applied, serial->dispatch_swaps_applied);
-  // The serial sweep never speculates, so it never recomputes.
+  // The reference sweep has no snapshot, so it never recomputes.
   EXPECT_EQ(serial->dispatch_proposals_recomputed, 0);
 }
 
