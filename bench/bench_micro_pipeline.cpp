@@ -425,42 +425,47 @@ int Main() {
   }
   std::filesystem::remove_all(campaign_dir);
 
-  // ---- Telemetry overhead phase: the serial engine run with (a) no
-  // session attached — the arm every run without WithTelemetry takes,
-  // where each instrumentation site degrades to a null-pointer check —
-  // (b) a metrics-only synchronous session, and (c) full tracing through
-  // the async drainer. All arms must produce the identical SimResult, and
-  // the instrumented arms must agree on the deterministic metric
-  // signature; the overhead ratios land on the perf record (expected:
-  // metrics ~1.00, tracing < 1.05) without a hard wall-clock gate — a
+  // ---- Telemetry overhead phase: NEAR over the same 24 h day as the
+  // replication sweep with (a) no session attached — the arm every run
+  // without WithTelemetry takes, where each instrumentation site degrades
+  // to a null-pointer check — (b) a metrics-only synchronous session, and
+  // (c) full tracing through the async drainer. Each rep runs every arm
+  // once, in forward order on even reps and reverse order on odd ones, so
+  // a drift in host speed lands on every arm alike; an arm's overhead is
+  // the median over reps of its wall time over the off arm's in the same
+  // rep. All arms must produce the identical SimResult, and the
+  // instrumented arms must agree on the deterministic metric signature;
+  // the ratios land on the perf record without a hard wall-clock gate — a
   // timing assert on a loaded CI box would flake.
   struct TelemetryRecord {
     std::string mode;  ///< "off" | "metrics" | "trace_async"
     double median_wall_s;
-    double overhead;  ///< median over the off arm's median
+    double overhead;  ///< median over reps of wall / the rep's off wall
     int64_t drained_events;
     bool identical;
   };
-  std::printf("\ntelemetry_overhead phase: NEAR serial, %d reps\n", reps);
+  constexpr int telemetry_reps = 12;  // ~0.13 s runs: >= 1.5 s per arm
+  const std::vector<std::string> telemetry_modes = {"off", "metrics",
+                                                    "trace_async"};
+  const size_t num_modes = telemetry_modes.size();
+  std::printf("\ntelemetry_overhead phase: NEAR serial, %dh day, %d "
+              "alternating reps\n",
+              sweep_hours, telemetry_reps);
   std::printf("%-12s %12s %10s %12s %10s\n", "mode", "wall-s", "overhead",
               "spans", "identical");
-  std::vector<TelemetryRecord> telemetry_records;
-  SimResult telemetry_baseline;
-  std::string telemetry_signature;
-  for (const char* mode : {"off", "metrics", "trace_async"}) {
-    const bool off = mode == std::string("off");
-    const bool trace = mode == std::string("trace_async");
-    std::vector<double> wall;
-    SimResult last;
-    int64_t drained = 0;
-    std::string signature;
-    for (int rep = 0; rep < reps; ++rep) {
+  std::vector<std::vector<double>> telemetry_wall(num_modes);
+  std::vector<SimResult> telemetry_last(num_modes);
+  std::vector<int64_t> telemetry_drained(num_modes, 0);
+  std::vector<std::string> telemetry_signature(num_modes);
+  for (int rep = 0; rep < telemetry_reps; ++rep) {
+    for (size_t k = 0; k < num_modes; ++k) {
+      const size_t m = rep % 2 == 0 ? k : num_modes - 1 - k;
       std::optional<telemetry::TelemetrySession> session;
-      SimConfig cfg = engine_cfg;
-      if (!off) {
+      SimConfig cfg = sweep_cfg;
+      if (m > 0) {
         telemetry::TelemetryConfig tcfg;
-        tcfg.tracing = trace;
-        tcfg.async_drain = trace;
+        tcfg.tracing = telemetry_modes[m] == "trace_async";
+        tcfg.async_drain = tcfg.tracing;
         session.emplace(tcfg);
         cfg.telemetry = &*session;
       }
@@ -468,45 +473,42 @@ int Main() {
       Stopwatch watch;
       StatusOr<SimResult> run =
           engine_sim->RunWith(cfg, *near, /*scenario=*/nullptr);
-      wall.push_back(watch.ElapsedSeconds());
+      telemetry_wall[m].push_back(watch.ElapsedSeconds());
       if (!run.ok()) {
         std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
         return 1;
       }
-      last = *run;
+      telemetry_last[m] = *run;
       if (session.has_value()) {
         session->Finish();
-        drained = session->drained_events();
-        signature = session->metrics().DeterministicSignature();
+        telemetry_drained[m] = session->drained_events();
+        telemetry_signature[m] = session->metrics().DeterministicSignature();
       }
     }
-    double median_wall = MedianMs(wall);  // sorts in place; unit-agnostic
-    bool identical = true;
-    if (off) {
-      telemetry_baseline = last;
-    } else {
-      identical = SameResult(telemetry_baseline, last);
-      if (telemetry_signature.empty()) {
-        telemetry_signature = signature;
-      } else {
-        identical = identical && signature == telemetry_signature;
-      }
+  }
+  std::vector<TelemetryRecord> telemetry_records;
+  for (size_t m = 0; m < num_modes; ++m) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < telemetry_reps; ++rep) {
+      ratios.push_back(telemetry_wall[m][static_cast<size_t>(rep)] /
+                       telemetry_wall[0][static_cast<size_t>(rep)]);
     }
-    TelemetryRecord rec{
-        mode, median_wall,
-        telemetry_records.empty()
-            ? 1.0
-            : median_wall / telemetry_records.front().median_wall_s,
-        drained, identical};
+    const bool identical =
+        SameResult(telemetry_last[0], telemetry_last[m]) &&
+        (m == 0 || telemetry_signature[m] == telemetry_signature[1]);
+    std::vector<double> wall = telemetry_wall[m];  // MedianMs sorts
+    TelemetryRecord rec{telemetry_modes[m], MedianMs(wall), MedianMs(ratios),
+                        telemetry_drained[m], identical};
     telemetry_records.push_back(rec);
-    std::printf("%-12s %12.3f %9.2fx %12lld %10s\n", mode, rec.median_wall_s,
-                rec.overhead, static_cast<long long>(rec.drained_events),
+    std::printf("%-12s %12.3f %9.3fx %12lld %10s\n", rec.mode.c_str(),
+                rec.median_wall_s, rec.overhead,
+                static_cast<long long>(rec.drained_events),
                 identical ? "yes" : "NO");
     if (!identical) {
       std::fprintf(stderr,
                    "FATAL: telemetry arm %s changed the simulation result "
                    "or metric signature\n",
-                   mode);
+                   rec.mode.c_str());
       return 1;
     }
   }
@@ -790,7 +792,10 @@ int Main() {
   // site is a null-pointer check), the instrumented arms record their
   // wall-clock ratio over it plus the spans the tracing arm drained.
   w.Key("telemetry_overhead").BeginObject();
-  w.Key("reps").Number(reps);
+  w.Key("dispatcher").String("NEAR");
+  w.Key("horizon_hours").Number(sweep_hours);
+  w.Key("reps").Number(telemetry_reps);
+  w.Key("arm_order").String("alternating");
   w.Key("results").BeginArray();
   for (const TelemetryRecord& r : telemetry_records) {
     w.BeginObject();

@@ -27,7 +27,6 @@
 // stays as RunSerialSweeps for tests/engine_equivalence_test.cc and
 // tests/local_search_test.cc to compare against.
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "dispatch/conflict_partition.h"
@@ -35,7 +34,6 @@
 #include "dispatch/irg_core.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
-#include "util/stopwatch.h"
 
 namespace mrvd {
 
@@ -175,20 +173,17 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
   // the used-flag of a rider dropping off there) — the dirty epoch.
   std::vector<int> region_dirty(num_regions, -1);
 
+  // The sweeps' propose and commit phases tile the clocked interval: the
+  // propose phase covers the ET snapshot + the proposal scan. The
+  // revalidate clock only times the exact recomputes inside the commit
+  // phase and records no span.
+  telemetry::StageClock clock(tele);
+  telemetry::StageClock revalidate_clock(nullptr);
+  clock.Start();
   bool changed = true;
   for (int sweep = 0; sweep < max_sweeps && changed; ++sweep) {
     ++counters->sweeps;
     changed = false;
-
-    // Propose phase span covers the ET snapshot + the proposal scan;
-    // optional<> sequences the two phase spans without re-scoping the
-    // sweep body. Null session keeps all of this at two pointer checks.
-    std::optional<telemetry::TraceSpan> phase_span;
-    int64_t phase_ns = 0;
-    if (tele != nullptr) {
-      phase_ns = Stopwatch::NowNanos();
-      phase_span.emplace(tele, "ls_propose");
-    }
 
     // 1. Dense ET snapshot at the sweep-start supply. Serial, through the
     // shared memo: a pure value per (region, extra) key, so warming here
@@ -230,15 +225,9 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
       proposed[static_cast<size_t>(i)] = best_rider;
     }
     counters->proposals += n;
+    const double propose_seconds = clock.Lap("ls_propose");
 
     double revalidate_seconds = 0.0;
-    if (tele != nullptr) {
-      phase_span.reset();
-      const int64_t now_ns = Stopwatch::NowNanos();
-      propose_hist->Add(static_cast<double>(now_ns - phase_ns) * 1e-9);
-      phase_ns = now_ns;
-      phase_span.emplace(tele, "ls_commit");
-    }
 
     // 3. Serial commit in slot order. A slot whose footprint no earlier
     // commit dirtied sees exactly the sweep-start state on everything it
@@ -257,11 +246,9 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
         if (dirty) {
           ++counters->proposals_recomputed;
           if (tele != nullptr) {
-            const int64_t reval_ns = Stopwatch::NowNanos();
+            revalidate_clock.Start();
             best_rider = RecomputeBestSwap(ctx, plan, *state, i);
-            revalidate_seconds += static_cast<double>(Stopwatch::NowNanos() -
-                                                      reval_ns) *
-                                  1e-9;
+            revalidate_seconds += revalidate_clock.Lap("ls_revalidate");
           } else {
             best_rider = RecomputeBestSwap(ctx, plan, *state, i);
           }
@@ -284,10 +271,10 @@ void RunConflictDecomposedSweeps(const BatchContext& ctx,
       ++counters->swaps_applied;
     }
 
+    const double commit_seconds = clock.Lap("ls_commit");
     if (tele != nullptr) {
-      phase_span.reset();
-      commit_hist->Add(
-          static_cast<double>(Stopwatch::NowNanos() - phase_ns) * 1e-9);
+      propose_hist->Add(propose_seconds);
+      commit_hist->Add(commit_seconds);
       // The revalidate share is carved out of the commit phase: the sweep's
       // exact recomputes of proposals an earlier commit invalidated.
       revalidate_hist->Add(revalidate_seconds);

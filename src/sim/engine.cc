@@ -16,7 +16,6 @@
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace mrvd {
 
@@ -257,111 +256,81 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     tele_build_hist = reg.histogram("engine.batch_build_seconds",
                                     telemetry::MetricScope::kDeterministic);
   }
-  int64_t stage_start_ns = 0;
-  auto stage_begin = [&stage_start_ns] {
-    stage_start_ns = Stopwatch::NowNanos();
-  };
-  auto stage_seconds = [&stage_start_ns] {
-    return static_cast<double>(Stopwatch::NowNanos() - stage_start_ns) * 1e-9;
-  };
+  // One clock times every stage: each reading closes a stage and opens the
+  // next, so the stages tile the batch span. The build and dispatch
+  // readings are the seconds the observers, SimResult and the histograms
+  // all receive.
+  telemetry::StageClock clock(tele);
 
   const double delta = config_.batch_interval;
   const double horizon = config_.horizon_seconds;
   double now = 0.0;
   for (; now < horizon; now += delta) {
-    telemetry::TraceSpan batch_span(tele, "batch");
-    BatchTimings timings;
+    clock.Start();
 
     // 1. Busy drivers finishing by `now` rejoin at their destination.
-    stage_begin();
-    {
-      telemetry::TraceSpan span(tele, "release_finished");
-      fleet.ReleaseFinished(now);
-    }
-    timings.release_seconds = stage_seconds();
+    fleet.ReleaseFinished(now);
+    clock.Lap("release_finished");
 
     // 2. Riders that posted since the last batch enter the book; scenario
     //    events due by `now` apply (shifts, cancels, surge transitions);
     //    expired riders renege. Cancellation is processed before reneging,
     //    so a rider whose cancel and deadline land in the same batch counts
     //    as cancelled, not reneged.
-    stage_begin();
-    {
-      telemetry::TraceSpan span(tele, "inject_arrivals");
-      orders.InjectArrivals(now);
-    }
-    timings.inject_seconds = stage_seconds();
-    stage_begin();
-    {
-      telemetry::TraceSpan span(tele, "scenario_events");
-      scenario.ApplyDueEvents(now, &fleet, &orders, &observers);
-    }
-    timings.scenario_seconds = stage_seconds();
-    stage_begin();
-    {
-      telemetry::TraceSpan span(tele, "remove_expired");
-      orders.RemoveExpired(now, &observers);
-    }
-    timings.expire_seconds = stage_seconds();
+    orders.InjectArrivals(now);
+    clock.Lap("inject_arrivals");
+    scenario.ApplyDueEvents(now, &fleet, &orders, &observers);
+    clock.Lap("scenario_events");
+    orders.RemoveExpired(now, &observers);
+    clock.Lap("remove_expired");
 
     if (orders.waiting().empty() && !fleet.HasFreshDrivers() &&
         !fleet.HasBusyDrivers() && orders.Exhausted() &&
         scenario.Exhausted()) {
+      clock.Enclose("batch");
       break;  // nothing left to do
     }
 
-    // 3. Build the batch context off the incremental counters.
+    // 3. Build the batch context off the incremental counters, after the
+    //    rejoin window they include has advanced to `now`.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
-    Stopwatch build_watch;
-    std::unique_ptr<BatchContext> ctx;
-    {
-      telemetry::TraceSpan span(tele, "batch_build");
-      ctx = builder.Build(now, orders, fleet, scenario.demand_multipliers());
-    }
-    const double build_seconds = build_watch.ElapsedSeconds();
-    timings.build_seconds = build_seconds;
+    std::unique_ptr<BatchContext> ctx =
+        builder.Build(now, orders, fleet, scenario.demand_multipliers());
+    const double build_seconds = clock.Lap("batch_build");
+
+    // 4. Publish the context, then capture idle-time estimates for freshly
+    //    (re)joined drivers.
     ctx->SetTelemetry(tele);
     observers.OnBatchBuilt(now, build_seconds, *ctx);
-
-    // 4. Capture idle-time estimates for freshly (re)joined drivers.
     fleet.CaptureIdleEstimates(config_.record_idle_samples ? ctx.get()
                                                            : nullptr);
+    clock.Lap("capture_idle");
 
     // 5. Dispatch.
     std::vector<Assignment> assignments;
-    Stopwatch dispatch_watch;
-    {
-      telemetry::TraceSpan span(tele, "dispatch");
-      dispatcher.Dispatch(*ctx, &assignments);
-    }
-    const double dispatch_seconds = dispatch_watch.ElapsedSeconds();
-    timings.dispatch_seconds = dispatch_seconds;
+    dispatcher.Dispatch(*ctx, &assignments);
+    const double dispatch_seconds = clock.Lap("dispatch");
+
+    // 6. Report the dispatch, apply the assignments, compact the served
+    //    riders out of the book and close the batch.
     observers.OnDispatchDone(now, dispatch_seconds, assignments);
     if (const DispatchCounters* counters = dispatcher.counters()) {
       observers.OnDispatchCounters(now, *counters);
     }
-
-    // 6. Apply assignments and compact the served riders out of the book.
-    stage_begin();
-    {
-      telemetry::TraceSpan span(tele, "assignment_apply");
-      applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
-    }
-    timings.apply_seconds = stage_seconds();
-
+    applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
     if (tele_batches != nullptr) {
       tele_batches->Add();
       tele_assignments->Add(static_cast<int64_t>(assignments.size()));
       tele_dispatch_hist->Add(dispatch_seconds);
       tele_build_hist->Add(build_seconds);
     }
-    observers.OnBatchTimings(now, timings);
     observers.OnBatchEnd(now);
+    clock.Lap("assignment_apply");
+    clock.Enclose("batch");
   }
 
   // Anything left waiting (or never injected) at the horizon never got
   // served.
-  if (tele != nullptr) observers.OnRunTelemetry(now, *tele);
   observers.OnRunEnd(now, orders.UnservedRemainder());
   return metrics.TakeResult();
 }

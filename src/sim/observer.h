@@ -23,28 +23,6 @@ class BatchContext;
 struct Assignment;
 struct DispatchCounters;
 
-namespace telemetry {
-class TelemetrySession;
-}  // namespace telemetry
-
-/// Wall-time split of one batch across the engine's stages, in stage order
-/// (where a batch's milliseconds went). Execution metadata: the values
-/// vary run to run; only the event count is deterministic.
-struct BatchTimings {
-  double release_seconds = 0.0;   ///< FleetState::ReleaseFinished
-  double inject_seconds = 0.0;    ///< OrderBook::InjectArrivals
-  double scenario_seconds = 0.0;  ///< ScenarioState::ApplyDueEvents
-  double expire_seconds = 0.0;    ///< OrderBook::RemoveExpired
-  double build_seconds = 0.0;     ///< BatchBuilder::Build
-  double dispatch_seconds = 0.0;  ///< Dispatcher::Dispatch
-  double apply_seconds = 0.0;     ///< AssignmentApplier::Apply
-
-  double TotalSeconds() const {
-    return release_seconds + inject_seconds + scenario_seconds +
-           expire_seconds + build_seconds + dispatch_seconds + apply_seconds;
-  }
-};
-
 /// One accepted rider-driver assignment, fully resolved by the
 /// AssignmentApplier (indices refer to the batch's BatchContext).
 struct AssignmentEvent {
@@ -82,7 +60,9 @@ class SimObserver {
   virtual ~SimObserver() = default;
 
   /// The batch context is complete (riders, drivers, snapshots).
-  /// `build_seconds` is the wall time of the incremental construction.
+  /// `build_seconds` is the wall time of the engine's batch_build stage
+  /// (rejoin-window advance + incremental construction), the same reading
+  /// its trace span carries.
   virtual void OnBatchBuilt(double now, double build_seconds,
                             const BatchContext& ctx) {
     (void)now, (void)build_seconds, (void)ctx;
@@ -144,24 +124,8 @@ class SimObserver {
     (void)now, (void)window, (void)active;
   }
 
-  /// The batch's per-stage wall-time split. Fires after every stage of the
-  /// batch completed, right before OnBatchEnd.
-  virtual void OnBatchTimings(double now, const BatchTimings& timings) {
-    (void)now, (void)timings;
-  }
-
   /// All assignments of the batch are applied and served riders compacted.
   virtual void OnBatchEnd(double now) { (void)now; }
-
-  /// The run's telemetry session, right before OnRunEnd — a late hook for
-  /// observers that export or post-process the metrics registry. Fires
-  /// only when the run had a session attached (SimConfig::telemetry); the
-  /// session is still live (the engine never calls Finish — the attaching
-  /// caller owns the session's lifecycle).
-  virtual void OnRunTelemetry(double end_time,
-                              const telemetry::TelemetrySession& session) {
-    (void)end_time, (void)session;
-  }
 
   /// The run is over. `never_dispatched` counts orders still waiting at the
   /// horizon plus orders whose request time was never reached.
@@ -215,15 +179,8 @@ class ObserverList : public SimObserver {
                      bool active) override {
     for (SimObserver* o : observers_) o->OnSurgeChange(now, window, active);
   }
-  void OnBatchTimings(double now, const BatchTimings& timings) override {
-    for (SimObserver* o : observers_) o->OnBatchTimings(now, timings);
-  }
   void OnBatchEnd(double now) override {
     for (SimObserver* o : observers_) o->OnBatchEnd(now);
-  }
-  void OnRunTelemetry(double end_time,
-                      const telemetry::TelemetrySession& session) override {
-    for (SimObserver* o : observers_) o->OnRunTelemetry(end_time, session);
   }
   void OnRunEnd(double end_time, int64_t never_dispatched) override {
     for (SimObserver* o : observers_) o->OnRunEnd(end_time, never_dispatched);

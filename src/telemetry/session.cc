@@ -84,8 +84,8 @@ void TelemetrySession::DrainLoop() {
 void TelemetrySession::Finish() {
   if (finished_) return;
   // Flush every thread's partial chunk. The caller guarantees no
-  // instrumented work is in flight (the engine joins its pool's work
-  // before Run returns), so touching other threads' buffers is safe.
+  // instrumented work is in flight, so touching other threads' buffers is
+  // safe.
   // Flush -> EnqueueChunk takes mu_, so collect the pointers first.
   std::vector<ThreadTraceBuffer*> to_flush;
   {
@@ -159,7 +159,7 @@ Status TelemetrySession::WriteChromeTrace(const std::string& path) const {
   for (const auto& [tid, e] : events) {
     w.BeginObject();
     w.Key("name").String(e.name);
-    w.Key("cat").String(e.category);
+    w.Key("cat").String("mrvd");
     w.Key("ph").String("X");
     w.Key("ts").Number(static_cast<double>(e.start_ns - origin_ns) / 1e3);
     w.Key("dur").Number(static_cast<double>(e.dur_ns) / 1e3);

@@ -16,9 +16,8 @@
 //
 // Lifecycle: record -> Finish() -> read. Finish() must be called when no
 // instrumented work is in flight (after Simulator::Run returns this always
-// holds: the engine joins its pool's work before returning); it flushes
-// every thread's partial chunk, stops and joins the drainer, and freezes
-// the session. WriteChromeTrace/drained_events require a finished session.
+// holds); it flushes every thread's partial chunk, stops and joins the
+// drainer, and freezes the session. WriteChromeTrace/drained_events require a finished session.
 // Metric counts are deterministic; trace timing values are execution
 // metadata (see telemetry/metrics.h for the contract).
 #pragma once
@@ -40,8 +39,8 @@ namespace mrvd {
 namespace telemetry {
 
 struct TelemetryConfig {
-  /// Record trace spans (metrics are always collected). Off: TraceSpan is
-  /// a no-op and the session never starts a drainer.
+  /// Record trace spans (metrics are always collected). Off: a StageClock
+  /// records nothing and the session never starts a drainer.
   bool tracing = true;
 
   /// Drain full chunks on a background thread (off the hot path). False =

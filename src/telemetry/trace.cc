@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "telemetry/session.h"
-#include "util/stopwatch.h"
 
 namespace mrvd {
 namespace telemetry {
@@ -24,24 +23,10 @@ void ThreadTraceBuffer::Flush() {
   session_->EnqueueChunk(std::move(chunk));
 }
 
-TraceSpan::TraceSpan(TelemetrySession* session, const char* name,
-                     const char* category) {
-  if (session == nullptr || !session->tracing()) return;
-  buffer_ = session->BufferForCurrentThread();
-  if (buffer_ == nullptr) return;
-  name_ = name;
-  category_ = category;
-  start_ns_ = Stopwatch::NowNanos();
-}
-
-TraceSpan::~TraceSpan() {
-  if (buffer_ == nullptr) return;
-  TraceEvent event;
-  event.name = name_;
-  event.category = category_;
-  event.start_ns = start_ns_;
-  event.dur_ns = Stopwatch::NowNanos() - start_ns_;
-  buffer_->Record(event);
+StageClock::StageClock(TelemetrySession* session) {
+  if (session != nullptr && session->tracing()) {
+    buffer_ = session->BufferForCurrentThread();
+  }
 }
 
 }  // namespace telemetry

@@ -1,33 +1,37 @@
-// Trace spans: scoped RAII wall-time measurements recorded into per-thread
-// append-only buffers, exported by the TelemetrySession as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Stage timing and trace spans: a StageClock times back-to-back stages
+// with one clock read per stage boundary and, when tracing, records each
+// stage as a span into a per-thread append-only buffer, exported by the
+// TelemetrySession as Chrome trace-event JSON (loadable in Perfetto /
+// chrome://tracing).
 //
-// Hot-path cost model:
-//   * telemetry off (null session / tracing disabled): a TraceSpan is two
-//     pointer checks — no clock read, no allocation, no lock;
-//   * telemetry on: two monotonic clock reads (Stopwatch::NowNanos) and one
-//     push_back into a buffer owned exclusively by the recording thread.
-//     Locks are touched only when a chunk fills (every chunk_events spans)
-//     to hand the full chunk to the session's drain queue.
+// Hot-path cost model, per stage boundary:
+//   * always one monotonic clock read (Stopwatch::NowNanos) — the reading
+//     is the stage's duration whether or not anything records it;
+//   * tracing off (null session / tracing disabled): nothing else — a
+//     pointer check, no allocation, no lock;
+//   * tracing on: plus one push_back into a buffer owned exclusively by
+//     the recording thread. Locks are touched only when a chunk fills
+//     (every chunk_events spans) to hand it to the session's drain queue.
 //
-// Span names/categories must be string literals (static storage): events
-// store the pointers, never copies, so recording a span moves 32 bytes.
+// Span names must be string literals (static storage): events store the
+// pointers, never copies, so recording a span moves 24 bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "util/stopwatch.h"
+
 namespace mrvd {
 namespace telemetry {
 
 class TelemetrySession;
 
-/// One completed span, recorded at destruction time.
+/// One completed span.
 struct TraceEvent {
-  const char* name = nullptr;      ///< static-storage string literal
-  const char* category = nullptr;  ///< static-storage string literal
-  int64_t start_ns = 0;            ///< Stopwatch::NowNanos at construction
+  const char* name = nullptr;  ///< static-storage string literal
+  int64_t start_ns = 0;        ///< Stopwatch::NowNanos timebase
   int64_t dur_ns = 0;
 };
 
@@ -67,23 +71,47 @@ class ThreadTraceBuffer {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII span: stamps the start on construction, records the completed
-/// event into the calling thread's buffer on destruction. Null/disabled
-/// sessions make both ends no-ops.
-class TraceSpan {
+/// Times consecutive stages on the calling thread with one clock read per
+/// boundary: each Lap() closes the open stage and opens the next at the
+/// same instant, so the stages tile the clocked interval with no gap and
+/// every reading serves both neighbours. With a tracing session each
+/// closed stage is also recorded as a span with exactly the measured start
+/// and duration; Enclose() records a parent span over the stages lapped
+/// since Start() without reading the clock again. A null, non-tracing or
+/// finished session records nothing, and the seconds are returned all the
+/// same.
+///
+/// The clock resolves its trace buffer once, at construction, so it must
+/// be used on the thread that constructed it.
+class StageClock {
  public:
-  TraceSpan(TelemetrySession* session, const char* name,
-            const char* category = "mrvd");
-  ~TraceSpan();
+  explicit StageClock(TelemetrySession* session);
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  /// Opens the first stage (one clock read).
+  void Start() { start_ns_ = last_ns_ = Stopwatch::NowNanos(); }
+
+  /// Closes the open stage as `name`, opens the next at the same instant
+  /// (one clock read) and returns the closed stage's seconds.
+  double Lap(const char* name) {
+    const int64_t now_ns = Stopwatch::NowNanos();
+    const int64_t dur_ns = now_ns - last_ns_;
+    if (buffer_ != nullptr) buffer_->Record({name, last_ns_, dur_ns});
+    last_ns_ = now_ns;
+    return static_cast<double>(dur_ns) * 1e-9;
+  }
+
+  /// Records `name` over [Start(), last boundary] — the span enclosing the
+  /// stages lapped since Start(). Reads no clock.
+  void Enclose(const char* name) {
+    if (buffer_ != nullptr) {
+      buffer_->Record({name, start_ns_, last_ns_ - start_ns_});
+    }
+  }
 
  private:
-  ThreadTraceBuffer* buffer_ = nullptr;  ///< null = disabled span
-  const char* name_ = nullptr;
-  const char* category_ = nullptr;
+  ThreadTraceBuffer* buffer_ = nullptr;  ///< null = record nothing
   int64_t start_ns_ = 0;
+  int64_t last_ns_ = 0;
 };
 
 }  // namespace telemetry

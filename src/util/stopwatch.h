@@ -6,18 +6,15 @@
 
 namespace mrvd {
 
-/// Monotonic stopwatch; Elapsed* can be read repeatedly without stopping.
+/// Monotonic stopwatch; ElapsedSeconds() can be read repeatedly.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   /// Monotonic nanoseconds since an arbitrary (per-process) epoch — the one
   /// sanctioned raw-clock read outside Stopwatch itself (see the
-  /// banned-wallclock lint rule). Telemetry trace spans stamp their
-  /// start/duration with this so every span of a process shares one
-  /// timebase.
+  /// banned-wallclock lint rule). The telemetry StageClock reads it once
+  /// per stage boundary, so every span of a process shares one timebase.
   static int64_t NowNanos() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                Clock::now().time_since_epoch())
@@ -26,12 +23,6 @@ class Stopwatch {
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

@@ -1,15 +1,17 @@
 // Telemetry subsystem (src/telemetry/ and its engine wiring): LogHistogram
 // edge cases (empty / single sample / extreme magnitudes), the registry's
-// deterministic-signature contract across repeated runs, trace-span
+// deterministic-signature contract across repeated runs, StageClock span
 // recording in synchronous and async-drain modes (the drain thread's
 // shutdown handshake runs under TSan in CI), Chrome-trace export
-// well-formedness with spans from several threads, bit-identity of results
-// with telemetry on vs off, and ObserverList/ObserverChain forwarding of
-// the OnBatchTimings / OnRunTelemetry hooks.
+// well-formedness with spans from several threads, engine stage spans that
+// tile each batch and carry the observers' seconds, and bit-identity of
+// results with telemetry on vs off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -34,7 +36,7 @@ using telemetry::MetricScope;
 using telemetry::MetricsRegistry;
 using telemetry::TelemetryConfig;
 using telemetry::TelemetrySession;
-using telemetry::TraceSpan;
+using telemetry::StageClock;
 
 // ------------------------------------------------------------ LogHistogram
 
@@ -177,7 +179,7 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
   EXPECT_EQ(*threads->GetString("scope"), "execution");
 }
 
-// ------------------------------------------------------------- TraceSpans
+// ------------------------------------------------------------ StageClock
 
 /// Unique fresh temp file path, removed on scope exit.
 class TempFile {
@@ -195,16 +197,27 @@ class TempFile {
   fs::path path_;
 };
 
+/// A span's "ts" or "dur" field back in whole nanoseconds (the writer
+/// exports nanosecond stamps as microsecond doubles).
+int64_t SpanNs(const JsonValue& event, const char* field) {
+  return std::llround(*event.GetDouble(field) * 1e3);
+}
+
 TEST(TraceSessionTest, SyncModeRecordsNestedSpans) {
   TelemetryConfig config;
   config.async_drain = false;
   TelemetrySession session(config);
+  double first_seconds = 0.0;
+  double second_seconds = 0.0;
   {
-    TraceSpan outer(&session, "outer");
-    TraceSpan inner(&session, "inner");
+    StageClock clock(&session);
+    clock.Start();
+    first_seconds = clock.Lap("first");
+    second_seconds = clock.Lap("second");
+    clock.Enclose("outer");
   }
   session.Finish();
-  EXPECT_EQ(session.drained_events(), 2);
+  EXPECT_EQ(session.drained_events(), 3);
 
   TempFile file("sync_nested");
   Status written = session.WriteChromeTrace(file.str());
@@ -216,7 +229,8 @@ TEST(TraceSessionTest, SyncModeRecordsNestedSpans) {
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   const JsonValue* outer = nullptr;
-  const JsonValue* inner = nullptr;
+  const JsonValue* first = nullptr;
+  const JsonValue* second = nullptr;
   bool has_thread_name = false;
   for (const JsonValue& e : events->array()) {
     const std::string ph = *e.GetString("ph");
@@ -227,31 +241,43 @@ TEST(TraceSessionTest, SyncModeRecordsNestedSpans) {
     ASSERT_EQ(ph, "X");
     const std::string name = *e.GetString("name");
     if (name == "outer") outer = &e;
-    if (name == "inner") inner = &e;
+    if (name == "first") first = &e;
+    if (name == "second") second = &e;
   }
   EXPECT_TRUE(has_thread_name);
   ASSERT_NE(outer, nullptr);
-  ASSERT_NE(inner, nullptr);
-  // Proper nesting: the outer span starts no later and ends no earlier.
-  const double outer_ts = *outer->GetDouble("ts");
-  const double inner_ts = *inner->GetDouble("ts");
-  const double outer_dur = *outer->GetDouble("dur");
-  const double inner_dur = *inner->GetDouble("dur");
-  EXPECT_LE(outer_ts, inner_ts);
-  EXPECT_GE(outer_ts + outer_dur, inner_ts + inner_dur);
-  EXPECT_EQ(*outer->GetInt64("tid"), *inner->GetInt64("tid"));
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  // The laps tile the enclosing span: one reading ends the first stage and
+  // starts the second, and each span's duration is the lap's return value.
+  EXPECT_EQ(SpanNs(*outer, "ts"), SpanNs(*first, "ts"));
+  EXPECT_EQ(SpanNs(*first, "ts") + SpanNs(*first, "dur"),
+            SpanNs(*second, "ts"));
+  EXPECT_EQ(SpanNs(*outer, "dur"),
+            SpanNs(*first, "dur") + SpanNs(*second, "dur"));
+  EXPECT_NEAR(static_cast<double>(SpanNs(*first, "dur")),
+              first_seconds * 1e9, 1.0);
+  EXPECT_NEAR(static_cast<double>(SpanNs(*second, "dur")),
+              second_seconds * 1e9, 1.0);
+  EXPECT_EQ(*outer->GetInt64("tid"), *first->GetInt64("tid"));
 }
 
 TEST(TraceSessionTest, NullAndDisabledSessionsAreNoops) {
   {
-    TraceSpan span(nullptr, "nothing");  // must not crash
+    StageClock clock(nullptr);  // must not crash, and still times
+    clock.Start();
+    EXPECT_GE(clock.Lap("nothing"), 0.0);
+    clock.Enclose("nothing_either");
   }
   TelemetryConfig config;
   config.tracing = false;
   config.async_drain = false;
   TelemetrySession session(config);
   {
-    TraceSpan span(&session, "dropped");
+    StageClock clock(&session);
+    clock.Start();
+    EXPECT_GE(clock.Lap("dropped"), 0.0);
+    clock.Enclose("dropped_too");
   }
   session.Finish();
   EXPECT_EQ(session.drained_events(), 0);
@@ -270,12 +296,16 @@ TEST(TraceSessionTest, FinishIsIdempotentAndDropsLateSpans) {
   config.async_drain = false;
   TelemetrySession session(config);
   {
-    TraceSpan span(&session, "before");
+    StageClock clock(&session);
+    clock.Start();
+    clock.Lap("before");
   }
   session.Finish();
   EXPECT_EQ(session.drained_events(), 1);
   {
-    TraceSpan late(&session, "after");  // finished session: no-op
+    StageClock late(&session);  // finished session: records nothing
+    late.Start();
+    late.Lap("after");
   }
   session.Finish();
   EXPECT_EQ(session.drained_events(), 1);
@@ -293,14 +323,16 @@ TEST(TraceSessionTest, AsyncDrainFlushesEverythingOnShutdown) {
   {
     ThreadPool pool(4);
     pool.ParallelFor(kTasks, [&](int i) {
-      TraceSpan span(&session, "work");
-      if (i % 2 == 0) {
-        TraceSpan nested(&session, "nested");
-      }
+      StageClock clock(&session);
+      clock.Start();
+      clock.Lap("work");
+      if (i % 2 == 0) clock.Lap("more_work");
     });
   }
   {
-    TraceSpan main_span(&session, "main");
+    StageClock clock(&session);
+    clock.Start();
+    clock.Lap("main");
   }
   session.Finish();
   EXPECT_EQ(session.drained_events(), kTasks + kTasks / 2 + 1);
@@ -405,9 +437,9 @@ TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
   std::vector<std::future<void>> probes;
   for (int w = 0; w < kWorkers; ++w) {
     probes.push_back(pool.Submit([&session] {
-      for (int i = 0; i < kProbeSpans; ++i) {
-        telemetry::TraceSpan span(&session, "worker_probe");
-      }
+      StageClock clock(&session);
+      clock.Start();
+      for (int i = 0; i < kProbeSpans; ++i) clock.Lap("worker_probe");
     }));
   }
   StatusOr<SimResult> result = sim->Run("LS");
@@ -448,60 +480,91 @@ TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
   EXPECT_GT(tids.size(), 1u);
 }
 
-// -------------------------------------------------- observer forwarding
-
-/// Counts the telemetry-era hooks and remembers the last BatchTimings.
-class HookRecorder final : public SimObserver {
+/// Records the seconds the engine hands to OnBatchBuilt / OnDispatchDone.
+class StageSecondsRecorder final : public SimObserver {
  public:
-  void OnBatchTimings(double /*now*/, const BatchTimings& timings) override {
-    ++batch_timings_calls;
-    last_timings = timings;
+  void OnBatchBuilt(double /*now*/, double build_seconds,
+                    const BatchContext& /*ctx*/) override {
+    build.push_back(build_seconds);
   }
-  void OnRunTelemetry(double /*end_time*/,
-                      const TelemetrySession& session) override {
-    ++run_telemetry_calls;
-    last_session = &session;
+  void OnDispatchDone(double /*now*/, double dispatch_seconds,
+                      const std::vector<Assignment>& /*a*/) override {
+    dispatch.push_back(dispatch_seconds);
   }
 
-  int batch_timings_calls = 0;
-  int run_telemetry_calls = 0;
-  BatchTimings last_timings;
-  const TelemetrySession* last_session = nullptr;
+  std::vector<double> build;
+  std::vector<double> dispatch;
 };
 
-TEST_F(EngineTelemetryTest, ChainForwardsTimingsAndTelemetryHooks) {
-  HookRecorder first;
-  HookRecorder second;
-  ObserverChain chain;
-  chain.Add(&first).Add(&second);
-
-  TelemetrySession session;
+TEST_F(EngineTelemetryTest, StageSpansTileEachBatch) {
+  TelemetryConfig config;
+  config.async_drain = false;
+  TelemetrySession session(config);
   StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
   ASSERT_TRUE(sim.ok()) << sim.status();
-  StatusOr<SimResult> result = sim->Run("NEAR", &chain);
+  StageSecondsRecorder recorder;
+  StatusOr<SimResult> result = sim->Run("LS", &recorder);
   ASSERT_TRUE(result.ok()) << result.status();
+  session.Finish();
+  ASSERT_EQ(recorder.build.size(), static_cast<size_t>(result->num_batches));
+  ASSERT_EQ(recorder.dispatch.size(),
+            static_cast<size_t>(result->num_batches));
 
-  for (const HookRecorder* r : {&first, &second}) {
-    EXPECT_EQ(r->batch_timings_calls, result->num_batches);
-    EXPECT_EQ(r->run_telemetry_calls, 1);
-    EXPECT_EQ(r->last_session, &session);
-    EXPECT_GE(r->last_timings.TotalSeconds(),
-              r->last_timings.dispatch_seconds);
-    EXPECT_GT(r->last_timings.TotalSeconds(), 0.0);
+  TempFile file("stage_tiling");
+  Status written = session.WriteChromeTrace(file.str());
+  ASSERT_TRUE(written.ok()) << written;
+  StatusOr<JsonValue> doc = ReadJsonFile(file.str());
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  // The engine's stages in order; LS spans nest inside dispatch and are
+  // not stages of the batch.
+  const std::vector<std::string> stage_names = {
+      "release_finished", "inject_arrivals", "scenario_events",
+      "remove_expired",   "batch_build",     "capture_idle",
+      "dispatch",         "assignment_apply"};
+  struct Batch {
+    int64_t ts = 0;
+    int64_t dur = 0;
+    std::vector<std::string> names;
+    std::vector<int64_t> ts_of, dur_of;
+  };
+  std::vector<Batch> batches;
+  for (const JsonValue& e : doc->Find("traceEvents")->array()) {
+    if (*e.GetString("ph") != "X") continue;
+    const std::string name = *e.GetString("name");
+    if (name == "batch") {
+      batches.push_back({SpanNs(e, "ts"), SpanNs(e, "dur"), {}, {}, {}});
+    } else if (std::find(stage_names.begin(), stage_names.end(), name) !=
+               stage_names.end()) {
+      ASSERT_FALSE(batches.empty()) << name << " outside any batch";
+      batches.back().names.push_back(name);
+      batches.back().ts_of.push_back(SpanNs(e, "ts"));
+      batches.back().dur_of.push_back(SpanNs(e, "dur"));
+    }
   }
-}
 
-TEST_F(EngineTelemetryTest, RunTelemetryHookRequiresASession) {
-  HookRecorder recorder;
-  ObserverChain chain;
-  chain.Add(&recorder);
-  StatusOr<Simulation> sim = MakeBuilder().Build();
-  ASSERT_TRUE(sim.ok()) << sim.status();
-  StatusOr<SimResult> result = sim->Run("NEAR", &chain);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Timings fire for every run; the telemetry hook only with a session.
-  EXPECT_EQ(recorder.batch_timings_calls, result->num_batches);
-  EXPECT_EQ(recorder.run_telemetry_calls, 0);
+  size_t full = 0;
+  for (const Batch& b : batches) {
+    ASSERT_FALSE(b.names.empty());
+    // Every stage starts where the previous one ended, the first where the
+    // batch starts, and the durations add up to the batch span exactly.
+    int64_t cursor = b.ts;
+    for (size_t k = 0; k < b.names.size(); ++k) {
+      EXPECT_EQ(b.names[k], stage_names[k]);
+      EXPECT_EQ(b.ts_of[k], cursor) << b.names[k];
+      cursor += b.dur_of[k];
+    }
+    EXPECT_EQ(cursor, b.ts + b.dur);
+    if (b.names.size() != stage_names.size()) continue;  // final early exit
+    // The one reading that makes the span is the seconds observers see.
+    ASSERT_LT(full, recorder.build.size());
+    EXPECT_NEAR(static_cast<double>(b.dur_of[4]), recorder.build[full] * 1e9,
+                1.0);
+    EXPECT_NEAR(static_cast<double>(b.dur_of[6]),
+                recorder.dispatch[full] * 1e9, 1.0);
+    ++full;
+  }
+  EXPECT_EQ(full, static_cast<size_t>(result->num_batches));
 }
 
 }  // namespace

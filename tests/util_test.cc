@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/histogram.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
@@ -261,46 +260,6 @@ TEST(CsvTest, EarlyStopViaRowCallback) {
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(count, 3);
   std::filesystem::remove(path);
-}
-
-// ------------------------------------------------------------- Histogram
-
-TEST(HistogramTest, BucketsAndSummary) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(i + 0.5);
-  EXPECT_EQ(h.count(), 10);
-  for (int b = 0; b < 10; ++b) EXPECT_EQ(h.bucket_count(b), 1);
-  EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 9.5);
-}
-
-TEST(HistogramTest, UnderOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-5.0);
-  h.Add(2.0);
-  h.Add(0.5);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.count(), 3);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.Add(i % 100 + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-}
-
-TEST(HistogramTest, MergeCombines) {
-  Histogram a(0, 10, 10), b(0, 10, 10);
-  a.Add(1.5);
-  b.Add(8.5);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_EQ(a.bucket_count(1), 1);
-  EXPECT_EQ(a.bucket_count(8), 1);
-  EXPECT_DOUBLE_EQ(a.max(), 8.5);
 }
 
 // ------------------------------------------- JsonWriter <-> JsonReader

@@ -12,12 +12,19 @@
 //     registration order starting at 1);
 //   * on each trace thread, spans nest: sorted parents-first, a span is
 //     either disjoint from the open stack or properly contained in the
-//     top — partial overlap on one thread means a broken RAII pairing.
+//     top — partial overlap on one thread means a broken stage pairing.
 //
-// Usage: trace_check <trace.json> [required-span-name ...]
-// Any extra arguments are span names that must each occur at least once.
+// It then prints, for every span name that encloses children at least
+// once, the share of that name's total duration no direct child covers
+// (the time the trace cannot attribute to a named stage).
+//
+// Usage: trace_check <trace.json> [--max-unattributed=<span>:<frac> ...]
+//                    [required-span-name ...]
+// Extra names must each occur at least once; each --max-unattributed
+// bound fails the check when <span>'s unattributed share exceeds <frac>.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -41,7 +48,19 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-int Run(const std::string& path, const std::vector<std::string>& required) {
+/// Summed duration of one span name, and how much of it direct children
+/// cover.
+struct Coverage {
+  bool parent = false;  ///< some span of this name encloses a child
+  double total_us = 0.0;
+  double covered_us = 0.0;
+  double Unattributed() const {
+    return total_us > 0.0 ? 1.0 - covered_us / total_us : 0.0;
+  }
+};
+
+int Run(const std::string& path, const std::vector<std::string>& required,
+        const std::map<std::string, double>& max_unattributed) {
   StatusOr<JsonValue> doc = ReadJsonFile(path);
   if (!doc.ok()) return Fail(doc.status().ToString());
   const JsonValue* events = doc->Find("traceEvents");
@@ -52,6 +71,7 @@ int Run(const std::string& path, const std::vector<std::string>& required) {
   std::set<int64_t> metadata_tids;
   std::map<int64_t, std::vector<Span>> by_tid;
   std::map<std::string, int64_t> name_counts;
+  std::map<std::string, Coverage> coverage;  ///< by span name
   for (size_t i = 0; i < events->array().size(); ++i) {
     const JsonValue& e = events->array()[i];
     const std::string at = "event #" + std::to_string(i);
@@ -110,16 +130,31 @@ int Run(const std::string& path, const std::vector<std::string>& required) {
     // ts/dur were rounded to micros independently, so containment gets a
     // rounding allowance well below one clock tick.
     constexpr double kSlackUs = 0.01;
-    std::vector<Span> stack;
-    for (const Span& span : sorted) {
-      while (!stack.empty() && stack.back().end() <= span.ts + kSlackUs) {
+    std::vector<size_t> stack;  ///< indices into sorted
+    std::vector<double> covered(sorted.size(), 0.0);
+    std::vector<char> has_child(sorted.size(), 0);
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const Span& span = sorted[i];
+      while (!stack.empty() &&
+             sorted[stack.back()].end() <= span.ts + kSlackUs) {
         stack.pop_back();
       }
-      if (!stack.empty() && span.end() > stack.back().end() + kSlackUs) {
-        return Fail("span '" + span.name + "' partially overlaps '" +
-                    stack.back().name + "' on tid " + std::to_string(tid));
+      if (!stack.empty()) {
+        const Span& top = sorted[stack.back()];
+        if (span.end() > top.end() + kSlackUs) {
+          return Fail("span '" + span.name + "' partially overlaps '" +
+                      top.name + "' on tid " + std::to_string(tid));
+        }
+        covered[stack.back()] += span.dur;
+        has_child[stack.back()] = 1;
       }
-      stack.push_back(span);
+      stack.push_back(i);
+    }
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      Coverage& c = coverage[sorted[i].name];
+      c.parent = c.parent || has_child[i];
+      c.total_us += sorted[i].dur;
+      c.covered_us += std::min(covered[i], sorted[i].dur);
     }
   }
 
@@ -138,6 +173,25 @@ int Run(const std::string& path, const std::vector<std::string>& required) {
     std::printf("  %-20s %lld\n", name.c_str(),
                 static_cast<long long>(count));
   }
+  std::printf("unattributed share of each parent span:\n");
+  for (const auto& [name, c] : coverage) {
+    if (!c.parent) continue;
+    std::printf("  %-20s %8.4f  (%.3f of %.3f ms)\n", name.c_str(),
+                c.Unattributed(), (c.total_us - c.covered_us) * 1e-3,
+                c.total_us * 1e-3);
+  }
+  for (const auto& [name, bound] : max_unattributed) {
+    auto it = coverage.find(name);
+    if (it == coverage.end() || !it->second.parent) {
+      return Fail("span '" + name + "' never encloses a child span");
+    }
+    if (it->second.Unattributed() > bound) {
+      return Fail("span '" + name + "' leaves " +
+                  std::to_string(it->second.Unattributed()) +
+                  " of its time unattributed (bound " +
+                  std::to_string(bound) + ")");
+    }
+  }
   return 0;
 }
 
@@ -145,11 +199,35 @@ int Run(const std::string& path, const std::vector<std::string>& required) {
 }  // namespace mrvd
 
 int main(int argc, char** argv) {
+  const char* usage =
+      "usage: trace_check <trace.json> [--max-unattributed=<span>:<frac> "
+      "...] [required-span-name ...]\n";
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: trace_check <trace.json> [required-span-name ...]\n");
+    std::fprintf(stderr, "%s", usage);
     return 2;
   }
-  std::vector<std::string> required(argv + 2, argv + argc);
-  return mrvd::Run(argv[1], required);
+  const std::string flag = "--max-unattributed=";
+  std::vector<std::string> required;
+  std::map<std::string, double> max_unattributed;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) != 0) {
+      required.push_back(arg);
+      continue;
+    }
+    const std::string value = arg.substr(flag.size());
+    const size_t colon = value.rfind(':');
+    char* end = nullptr;
+    const double bound =
+        colon == std::string::npos ? -1.0
+                                   : std::strtod(value.c_str() + colon + 1, &end);
+    if (colon == 0 || colon == std::string::npos || end == nullptr ||
+        *end != '\0' || !(bound >= 0.0 && bound <= 1.0)) {
+      std::fprintf(stderr, "trace_check: bad %s (want <span>:<frac in "
+                   "[0,1]>)\n%s", arg.c_str(), usage);
+      return 2;
+    }
+    max_unattributed[value.substr(0, colon)] = bound;
+  }
+  return mrvd::Run(argv[1], required, max_unattributed);
 }
