@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numbers>
+#include <span>
 
 #include "telemetry/session.h"
 
@@ -19,34 +19,6 @@ constexpr double kRadiansPerDegree = std::numbers::pi / 180.0;
 /// on the scan side, so pruning can never drop a driver the exact test
 /// would accept.
 constexpr double kReachSlack = 1.0 + 1e-9;
-
-/// Where the batch's drivers actually are, built in one pass over the
-/// drivers per generation call: the bounding box of each region's driver
-/// positions (a GPS fix outside the city box is clamped into a border cell
-/// but keeps its real coordinates here) and the fleet's latitude range.
-/// Boxes of empty regions are never read.
-struct DriverBounds {
-  std::vector<BoundingBox> region_box;
-  double lat_min = std::numeric_limits<double>::infinity();
-  double lat_max = -std::numeric_limits<double>::infinity();
-};
-
-DriverBounds BuildDriverBounds(const BatchContext& ctx) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  DriverBounds b;
-  b.region_box.assign(static_cast<size_t>(ctx.grid().num_regions()),
-                      BoundingBox{kInf, -kInf, kInf, -kInf});
-  for (const AvailableDriver& d : ctx.drivers()) {
-    BoundingBox& box = b.region_box[static_cast<size_t>(d.region)];
-    box.lon_min = std::min(box.lon_min, d.location.lon);
-    box.lon_max = std::max(box.lon_max, d.location.lon);
-    box.lat_min = std::min(box.lat_min, d.location.lat);
-    box.lat_max = std::max(box.lat_max, d.location.lat);
-    b.lat_min = std::min(b.lat_min, d.location.lat);
-    b.lat_max = std::max(b.lat_max, d.location.lat);
-  }
-  return b;
-}
 
 /// Deterministic work done by one generation call (see candidates.h).
 struct CandidateWork {
@@ -81,8 +53,8 @@ void PublishWork(const BatchContext& ctx, const CandidateWork& work) {
 /// then infinite, or NaN for a zero budget, and either way the ring cap
 /// falls back to the whole grid and the region test never skips.
 template <typename Sink>
-void ForRiderValidPairs(const BatchContext& ctx, const DriverBounds& bounds,
-                        int ri, CandidateWork* work, Sink&& sink) {
+void ForRiderValidPairs(const BatchContext& ctx, int ri, CandidateWork* work,
+                        Sink&& sink) {
   const WaitingRider& r = ctx.riders()[static_cast<size_t>(ri)];
   const double budget_seconds = r.pickup_deadline - ctx.now();
   if (budget_seconds < 0.0 || ctx.drivers().empty()) return;
@@ -95,8 +67,9 @@ void ForRiderValidPairs(const BatchContext& ctx, const DriverBounds& bounds,
   // cos is smallest at an end of that interval: one factor bounds all.
   const double cos_lat = std::max(
       0.0,
-      std::min(std::cos(0.5 * (p.lat + bounds.lat_min) * kRadiansPerDegree),
-               std::cos(0.5 * (p.lat + bounds.lat_max) * kRadiansPerDegree)));
+      std::min(
+          std::cos(0.5 * (p.lat + ctx.driver_lat_min()) * kRadiansPerDegree),
+          std::cos(0.5 * (p.lat + ctx.driver_lat_max()) * kRadiansPerDegree)));
   const double reach_deg = budget_seconds * ctx.cost_model().MaxSpeedMps() *
                            kReachSlack /
                            (kEarthRadiusMeters * kRadiansPerDegree);
@@ -117,10 +90,9 @@ void ForRiderValidPairs(const BatchContext& ctx, const DriverBounds& bounds,
   for (int g = 0; g <= max_ring; ++g) {
     grid.ForEachInRing(r.pickup_region, g, [&](RegionId reg) {
       ++work->regions_visited;
-      const std::vector<int>& bucket =
-          ctx.drivers_by_region()[static_cast<size_t>(reg)];
+      const std::span<const int> bucket = ctx.DriversIn(reg);
       if (bucket.empty()) return;
-      const BoundingBox& box = bounds.region_box[static_cast<size_t>(reg)];
+      const BoundingBox& box = ctx.DriverBox(reg);
       const double dlon =
           std::max({box.lon_min - p.lon, p.lon - box.lon_max, 0.0}) * cos_lat;
       const double dlat =
@@ -143,10 +115,9 @@ void ForRiderValidPairs(const BatchContext& ctx, const DriverBounds& bounds,
 /// batch in the canonical order, then publishes the call's work counters.
 template <typename Sink>
 void ForEachValidPair(const BatchContext& ctx, Sink&& sink) {
-  const DriverBounds bounds = BuildDriverBounds(ctx);
   CandidateWork work;
   for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
-    ForRiderValidPairs(ctx, bounds, ri, &work, sink);
+    ForRiderValidPairs(ctx, ri, &work, sink);
   }
   PublishWork(ctx, work);
 }

@@ -5,15 +5,16 @@
 // TravelSeconds(a, b) >= EquirectangularMeters(a, b) / MaxSpeedMps(), so
 // no driver farther than the crow-fly reach budget * MaxSpeedMps() can be
 // valid.
-// Each generation call first takes one pass over the drivers to record the
-// bounding box of each region's actual driver positions and the fleet's
-// latitude range. Per rider, one cos(latitude) lower bound from that range
-// turns the reach into (a) a ring cap, floor(reach / min(cell_w * cos,
-// cell_h)) + 1, and (b) a per-region test that skips any region whose
-// driver box lies beyond the reach. Every driver of a scanned region gets
-// the exact test now + travel <= pickup_deadline, so the output is every
-// valid pair, in the canonical order: riders ascending, rings outward,
-// regions in Grid::ForEachInRing order, drivers in region order.
+// The BatchContext records, once per batch, the bounding box of each
+// region's actual driver positions and the fleet's latitude range
+// (BatchContext::DriverBox, driver_lat_min/max). Per rider, one
+// cos(latitude) lower bound from that range turns the reach into (a) a
+// ring cap, floor(reach / min(cell_w * cos, cell_h)) + 1, and (b) a
+// per-region test that skips any region whose driver box lies beyond the
+// reach. Every driver of a scanned region gets the exact test now + travel
+// <= pickup_deadline, so the output is every valid pair, in the canonical
+// order: riders ascending, rings outward, regions in Grid::ForEachInRing
+// order, drivers in region order.
 //
 // With a telemetry session attached, each call adds its work to the
 // kDeterministic counters candidates.regions_visited (ring regions
@@ -34,9 +35,9 @@ struct CandidatePair {
   double pickup_seconds = 0.0;
 };
 
-/// All valid pairs of the batch. O(drivers + regions) setup plus, per
-/// rider, the regions within the deadline-feasible ring radius and the
-/// drivers of those whose driver box the reach touches.
+/// All valid pairs of the batch. Per rider, O(regions within the
+/// deadline-feasible ring radius) plus the drivers of those whose driver
+/// box the reach touches.
 std::vector<CandidatePair> GenerateValidPairs(const BatchContext& ctx);
 
 /// Candidate pairs grouped per rider (same contents as GenerateValidPairs).

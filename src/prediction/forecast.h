@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "prediction/predictor.h"
@@ -36,6 +37,11 @@ class DemandForecast {
   /// (piecewise-constant per slot; windows past midnight are truncated).
   double WindowCount(double t_seconds, double window_seconds,
                      int region) const;
+
+  /// WindowCount for every region at once: out[k] (out.size() ==
+  /// num_regions()) gets exactly WindowCount(t_seconds, window_seconds, k).
+  void WindowCounts(double t_seconds, double window_seconds,
+                    std::span<double> out) const;
 
  private:
   DemandForecast(int slots_per_day, int num_regions)

@@ -2,10 +2,37 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include "queueing/birth_death.h"
+#include "telemetry/session.h"
 
 namespace mrvd {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
+
+/// Per-region ET memo entries allocated up front; the stride doubles past
+/// this when a dispatcher queries a larger extra-driver count.
+constexpr int kInitialMemoStride = 8;
+
+/// Grows `box` to cover `p`; a region's first driver starts its box.
+void Extend(BoundingBox* box, const LatLon& p, bool first) {
+  if (first) {
+    *box = BoundingBox{p.lon, p.lon, p.lat, p.lat};
+    return;
+  }
+  box->lon_min = std::min(box->lon_min, p.lon);
+  box->lon_max = std::max(box->lon_max, p.lon);
+  box->lat_min = std::min(box->lat_min, p.lat);
+  box->lat_max = std::max(box->lat_max, p.lat);
+}
+
+}  // namespace
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -17,8 +44,47 @@ BatchContext::BatchContext(double now, double window_seconds,
       grid_(grid),
       cost_model_(cost_model),
       candidate_mode_(candidate_mode) {
-  drivers_by_region_.resize(static_cast<size_t>(grid.num_regions()));
-  snapshots_.resize(static_cast<size_t>(grid.num_regions()));
+  const auto regions = static_cast<size_t>(grid.num_regions());
+  region_start_.resize(regions + 1);
+  driver_box_.resize(regions);
+  snapshots_.resize(regions);
+  memo_stride_ = kInitialMemoStride;
+  idle_memo_.assign(regions * kInitialMemoStride, kNotComputed);
+  memo_used_.assign(regions, 0);
+  ClearDriverIndex();
+}
+
+void BatchContext::Reset(double now) {
+  now_ = now;
+  riders_.clear();
+  drivers_.clear();
+  ClearDriverIndex();
+  std::fill(snapshots_.begin(), snapshots_.end(), RegionSnapshot{});
+  ClearMemo();
+}
+
+void BatchContext::ClearMemo() {
+  for (size_t k = 0; k < memo_used_.size(); ++k) {
+    if (memo_used_[k] == 0) continue;
+    const auto row = idle_memo_.begin() +
+                     static_cast<std::ptrdiff_t>(k * memo_stride_);
+    std::fill(row, row + memo_used_[k], kNotComputed);
+    memo_used_[k] = 0;
+  }
+}
+
+void BatchContext::SetTelemetry(telemetry::TelemetrySession* telemetry) {
+  telemetry_ = telemetry;
+  et_solves_ = telemetry == nullptr
+                   ? nullptr
+                   : telemetry->metrics().counter("batch.et_solves");
+}
+
+void BatchContext::ClearDriverIndex() {
+  std::fill(region_start_.begin(), region_start_.end(), 0);
+  region_drivers_.clear();
+  driver_lat_min_ = kInf;
+  driver_lat_max_ = -kInf;
 }
 
 void BatchContext::AddRider(const WaitingRider& r) {
@@ -29,28 +95,51 @@ void BatchContext::AddRider(const WaitingRider& r) {
 
 void BatchContext::AddDriver(const AvailableDriver& d) {
   assert(d.region != kInvalidRegion);
-  drivers_by_region_[static_cast<size_t>(d.region)].push_back(
-      static_cast<int>(drivers_.size()));
   drivers_.push_back(d);
+  ClearDriverIndex();
+  IndexDrivers();
 }
 
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
   assert(static_cast<int>(snapshots.size()) == grid_.num_regions());
   snapshots_ = std::move(snapshots);
-  idle_cache_.clear();
-}
-
-void BatchContext::SetRiders(std::vector<WaitingRider> riders) {
-  riders_ = std::move(riders);
+  ClearMemo();
 }
 
 void BatchContext::SetDrivers(std::vector<AvailableDriver> drivers) {
   drivers_ = std::move(drivers);
-  for (auto& bucket : drivers_by_region_) bucket.clear();
-  for (size_t j = 0; j < drivers_.size(); ++j) {
-    assert(drivers_[j].region != kInvalidRegion);
-    drivers_by_region_[static_cast<size_t>(drivers_[j].region)].push_back(
-        static_cast<int>(j));
+  ClearDriverIndex();
+  IndexDrivers();
+}
+
+void BatchContext::IndexDrivers() {
+  // Pass 1: count[k] counts region k's drivers while the boxes and the
+  // latitude range grow; the prefix sum then turns each count into the end
+  // of its bucket. Locals and raw pointers keep the running values in
+  // registers: the compiler cannot prove the boxes and the members apart.
+  int* const count = region_start_.data();
+  BoundingBox* const box = driver_box_.data();
+  double lat_min = driver_lat_min_;
+  double lat_max = driver_lat_max_;
+  for (const AvailableDriver& d : drivers_) {
+    assert(d.region != kInvalidRegion);
+    const auto k = static_cast<size_t>(d.region);
+    Extend(&box[k], d.location, count[k]++ == 0);
+    lat_min = std::min(lat_min, d.location.lat);
+    lat_max = std::max(lat_max, d.location.lat);
+  }
+  driver_lat_min_ = lat_min;
+  driver_lat_max_ = lat_max;
+  const size_t regions = driver_box_.size();
+  for (size_t k = 1; k < regions; ++k) count[k] += count[k - 1];
+  count[regions] = static_cast<int>(drivers_.size());
+  // Pass 2: placing drivers in descending index order from each bucket's
+  // end leaves every bucket ascending and each offset at its bucket start.
+  region_drivers_.resize(drivers_.size());
+  int* const placed = region_drivers_.data();
+  for (size_t j = drivers_.size(); j-- > 0;) {
+    const auto k = static_cast<size_t>(drivers_[j].region);
+    placed[--count[k]] = static_cast<int>(j);
   }
 }
 
@@ -100,13 +189,40 @@ double BatchContext::ComputeIdleSeconds(RegionId region,
   return et_minutes * 60.0;
 }
 
+double& BatchContext::MemoSlot(RegionId region, int extra_drivers) const {
+  assert(extra_drivers >= 0);
+  if (extra_drivers >= memo_stride_) {
+    const int stride = std::max(extra_drivers + 1, 2 * memo_stride_);
+    std::vector<double> grown(memo_used_.size() * static_cast<size_t>(stride),
+                              kNotComputed);
+    for (size_t k = 0; k < memo_used_.size(); ++k) {
+      const auto from = idle_memo_.begin() +
+                        static_cast<std::ptrdiff_t>(k * memo_stride_);
+      std::copy(from, from + memo_used_[k],
+                grown.begin() + static_cast<std::ptrdiff_t>(k * stride));
+    }
+    idle_memo_.swap(grown);
+    memo_stride_ = stride;
+  }
+  const auto k = static_cast<size_t>(region);
+  memo_used_[k] = std::max(memo_used_[k], extra_drivers + 1);
+  return idle_memo_[k * static_cast<size_t>(memo_stride_) +
+                    static_cast<size_t>(extra_drivers)];
+}
+
 double BatchContext::ExpectedIdleSeconds(RegionId region,
                                          int extra_drivers) const {
-  int64_t key = IdleCacheKey(region, extra_drivers);
-  auto it = idle_cache_.find(key);
-  if (it != idle_cache_.end()) return it->second;
-  double et = ComputeIdleSeconds(region, extra_drivers);
-  idle_cache_.emplace(key, et);
+  // The memo covers extra_drivers >= 0, the only values the dispatchers
+  // ask for; anything else is solved without it.
+  if (extra_drivers < 0) {
+    if (et_solves_ != nullptr) et_solves_->Add();
+    return ComputeIdleSeconds(region, extra_drivers);
+  }
+  double& et = MemoSlot(region, extra_drivers);
+  if (std::isnan(et)) {
+    et = ComputeIdleSeconds(region, extra_drivers);
+    if (et_solves_ != nullptr) et_solves_->Add();
+  }
   return et;
 }
 

@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
@@ -17,6 +17,7 @@
 namespace mrvd {
 
 namespace telemetry {
+class Counter;
 class TelemetrySession;
 }  // namespace telemetry
 
@@ -60,14 +61,29 @@ enum class CandidateMode {
   kRingExpand,
 };
 
-/// Read-mostly snapshot of one batch. The idle-time estimates are cached
+/// Read-mostly snapshot of one batch. The idle-time estimates are memoised
 /// per (region, extra-driver count) because IRG/LS/SHORT re-query them as
 /// their tentative selections shift future driver supply (§5.1, line 11).
+///
+/// The engine's BatchBuilder owns one context per run and rebuilds it in
+/// place every batch: Reset(now) empties riders, drivers, buckets,
+/// snapshots and the memo but keeps their capacity, so a batch allocates
+/// nothing once the run has seen its largest batch.
+///
+/// Drivers are bucketed by current region in one flat CSR array (region
+/// offsets plus driver indices, ascending within a region), built together
+/// with each region's driver bounding box and the fleet's latitude range,
+/// which the Def.-3 candidate search prunes with.
 class BatchContext {
  public:
   BatchContext(double now, double window_seconds, double reneging_beta,
                const Grid& grid, const TravelCostModel& cost_model,
                CandidateMode candidate_mode = CandidateMode::kRingExpand);
+
+  /// Starts a new batch at `now`: clears riders, drivers, region buckets,
+  /// snapshots and the idle-time memo, keeping their capacity. The
+  /// telemetry session stays attached.
+  void Reset(double now);
 
   CandidateMode candidate_mode() const { return candidate_mode_; }
 
@@ -78,10 +94,25 @@ class BatchContext {
 
   const std::vector<WaitingRider>& riders() const { return riders_; }
   const std::vector<AvailableDriver>& drivers() const { return drivers_; }
-  /// Indices of available drivers bucketed by current region.
-  const std::vector<std::vector<int>>& drivers_by_region() const {
-    return drivers_by_region_;
+
+  /// Indices of the available drivers currently in `region`, ascending.
+  std::span<const int> DriversIn(RegionId region) const {
+    const auto k = static_cast<size_t>(region);
+    return {region_drivers_.data() + region_start_[k],
+            region_drivers_.data() + region_start_[k + 1]};
   }
+
+  /// Bounding box of the positions of `region`'s drivers (a GPS fix outside
+  /// the city box is clamped into a border cell but keeps its real
+  /// coordinates here). Meaningless for a region with no driver.
+  const BoundingBox& DriverBox(RegionId region) const {
+    return driver_box_[static_cast<size_t>(region)];
+  }
+
+  /// Lowest and highest driver latitude of the batch (+inf / -inf when no
+  /// driver is available).
+  double driver_lat_min() const { return driver_lat_min_; }
+  double driver_lat_max() const { return driver_lat_max_; }
 
   /// Region demand/supply snapshots (inputs of Eqs. 18/19).
   const std::vector<RegionSnapshot>& snapshots() const { return snapshots_; }
@@ -92,20 +123,20 @@ class BatchContext {
   RegionRates RatesFor(RegionId region, int extra_drivers = 0) const;
 
   /// Expected idle time ET(λ(k), μ(k)) in seconds for a driver rejoining
-  /// `region`, given `extra_drivers` additional rejoiners (cached; the memo
-  /// table is not thread-safe).
+  /// `region`, given `extra_drivers` additional rejoiners (memoised for
+  /// extra_drivers >= 0; the memo table is not thread-safe). With a
+  /// telemetry session attached each solve (memo miss or negative
+  /// extra_drivers) adds one to the kDeterministic counter batch.et_solves.
   double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Same value as ExpectedIdleSeconds but bypassing the memo table: a pure
   /// function of the immutable snapshots.
   double ComputeIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
-  /// Optional telemetry session (null = telemetry off), set by the engine
-  /// so dispatchers can emit trace spans and phase histograms without any
-  /// extra plumbing. Borrowed; must outlive the batch.
-  void SetTelemetry(telemetry::TelemetrySession* telemetry) {
-    telemetry_ = telemetry;
-  }
+  /// Optional telemetry session (null = telemetry off), so dispatchers can
+  /// emit trace spans and work counters without any extra plumbing.
+  /// Borrowed; must outlive every batch built in this context.
+  void SetTelemetry(telemetry::TelemetrySession* telemetry);
   telemetry::TelemetrySession* telemetry() const { return telemetry_; }
 
   /// Travel seconds from a driver's location to a rider's pickup.
@@ -119,16 +150,15 @@ class BatchContext {
     return now_ + PickupSeconds(d, r) <= r.pickup_deadline;
   }
 
-  /// Mutable setup API (used by the engine when building the batch).
+  /// Hand-built setup API (tests, benches). AddDriver rebuilds the region
+  /// buckets, boxes and latitude range, so it costs O(drivers + regions)
+  /// per call; bulk setup should use SetDrivers.
   void AddRider(const WaitingRider& r);
   void AddDriver(const AvailableDriver& d);
   void SetSnapshots(std::vector<RegionSnapshot> snapshots);
 
-  /// Bulk setup API (the staged engine's BatchBuilder materialises the
-  /// vectors and moves them in; the per-region driver buckets are rebuilt
-  /// in one pass, in the same ascending context-index order AddDriver
-  /// produces).
-  void SetRiders(std::vector<WaitingRider> riders);
+  /// Replaces the drivers and rebuilds the region index in one counting
+  /// sort.
   void SetDrivers(std::vector<AvailableDriver> drivers);
 
   /// Cap on congested drivers K for region ET queries: available drivers in
@@ -136,10 +166,26 @@ class BatchContext {
   int64_t MaxDriversFor(RegionId region, int extra_drivers) const;
 
  private:
-  /// Memo key for (region, extra_drivers); extra_drivers < 2^20.
-  static int64_t IdleCacheKey(RegionId region, int extra_drivers) {
-    return (static_cast<int64_t>(region) << 20) | extra_drivers;
-  }
+  /// The BatchBuilder fills riders_, drivers_ and snapshots_ in place and
+  /// then calls IndexDrivers().
+  friend class BatchBuilder;
+
+  /// Builds the region CSR, the region driver boxes and the latitude range
+  /// from drivers_ into a cleared index: one counting pass (counts, boxes,
+  /// range), then a descending placement pass that leaves each bucket
+  /// ascending.
+  void IndexDrivers();
+
+  /// Empties the driver index: zero offsets, no buckets, inverted latitude
+  /// range. Boxes are not touched; a region's first driver restarts its box.
+  void ClearDriverIndex();
+
+  /// Marks every memo entry not computed.
+  void ClearMemo();
+
+  /// Memo slot of (region, extra_drivers >= 0), growing the table's
+  /// per-region stride to cover `extra_drivers`.
+  double& MemoSlot(RegionId region, int extra_drivers) const;
 
   /// The snapshot of the queue a driver rejoining `region` joins: the 3x3
   /// service neighbourhood summed in Grid::ForEachInRing order under
@@ -155,12 +201,23 @@ class BatchContext {
 
   std::vector<WaitingRider> riders_;
   std::vector<AvailableDriver> drivers_;
-  std::vector<std::vector<int>> drivers_by_region_;
+  /// Region k's drivers are region_drivers_[region_start_[k] ..
+  /// region_start_[k + 1]); num_regions + 1 offsets.
+  std::vector<int> region_start_;
+  std::vector<int> region_drivers_;
+  std::vector<BoundingBox> driver_box_;  ///< by region; stale when empty
+  double driver_lat_min_ = 0.0;
+  double driver_lat_max_ = 0.0;
   std::vector<RegionSnapshot> snapshots_;
   telemetry::TelemetrySession* telemetry_ = nullptr;  ///< borrowed; may be null
+  telemetry::Counter* et_solves_ = nullptr;  ///< null without a session
 
-  /// (region << 20 | extra) -> ET cache.
-  mutable std::unordered_map<int64_t, double> idle_cache_;
+  /// ET memo: region k's entry for `extra` is idle_memo_[k * memo_stride_ +
+  /// extra], NaN until computed. memo_used_[k] bounds the entries of region
+  /// k written since the last Reset, so Reset re-NaNs only those.
+  mutable std::vector<double> idle_memo_;
+  mutable std::vector<int> memo_used_;
+  mutable int memo_stride_ = 0;
 };
 
 /// Per-Dispatch work counters for iterative dispatchers (currently LS):

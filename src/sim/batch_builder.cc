@@ -1,5 +1,7 @@
 #include "sim/batch_builder.h"
 
+#include "telemetry/session.h"
+
 namespace mrvd {
 
 namespace {
@@ -23,40 +25,40 @@ WaitingRider Materialise(const PendingRider& pr) {
 BatchBuilder::BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                            const DemandForecast* forecast,
                            double window_seconds, double reneging_beta,
-                           CandidateMode candidate_mode)
+                           CandidateMode candidate_mode,
+                           telemetry::TelemetrySession* telemetry)
     : grid_(grid),
-      cost_model_(cost_model),
       forecast_(forecast),
       window_seconds_(window_seconds),
-      reneging_beta_(reneging_beta),
-      candidate_mode_(candidate_mode) {}
+      predicted_riders_(static_cast<size_t>(grid.num_regions())),
+      ctx_(0.0, window_seconds, reneging_beta, grid, cost_model,
+           candidate_mode) {
+  ctx_.SetTelemetry(telemetry);
+  if (telemetry != nullptr) {
+    drivers_materialised_ =
+        telemetry->metrics().counter("batch.drivers_materialised");
+  }
+}
 
-std::unique_ptr<BatchContext> BatchBuilder::Build(
+const BatchContext& BatchBuilder::Build(
     double now, const OrderBook& orders, const FleetState& fleet,
-    const std::vector<double>* demand_multipliers) const {
-  auto ctx = std::make_unique<BatchContext>(now, window_seconds_,
-                                            reneging_beta_, grid_, cost_model_,
-                                            candidate_mode_);
-  MaterialiseRiders(ctx.get(), orders);
-  MaterialiseDrivers(ctx.get(), fleet);
-  BuildSnapshots(ctx.get(), now, orders, fleet, demand_multipliers);
-  return ctx;
+    const std::vector<double>* demand_multipliers) {
+  ctx_.Reset(now);
+  MaterialiseRiders(orders);
+  MaterialiseDrivers(fleet);
+  BuildSnapshots(now, orders, fleet, demand_multipliers);
+  return ctx_;
 }
 
-void BatchBuilder::MaterialiseRiders(BatchContext* ctx,
-                                     const OrderBook& orders) const {
-  const std::deque<PendingRider>& waiting = orders.waiting();
-  std::vector<WaitingRider> riders;
-  riders.reserve(waiting.size());
-  for (const PendingRider& pr : waiting) riders.push_back(Materialise(pr));
-  ctx->SetRiders(std::move(riders));
+void BatchBuilder::MaterialiseRiders(const OrderBook& orders) {
+  for (const PendingRider& pr : orders.waiting()) {
+    ctx_.riders_.push_back(Materialise(pr));
+  }
 }
 
-void BatchBuilder::MaterialiseDrivers(BatchContext* ctx,
-                                      const FleetState& fleet) const {
+void BatchBuilder::MaterialiseDrivers(const FleetState& fleet) {
   const std::vector<DriverState>& all = fleet.drivers();
-  std::vector<AvailableDriver> drivers;
-  drivers.reserve(static_cast<size_t>(fleet.available_count()));
+  std::vector<AvailableDriver>& drivers = ctx_.drivers_;
   for (size_t j = 0; j < all.size(); ++j) {
     const DriverState& d = all[j];
     if (!d.Dispatchable()) continue;
@@ -67,24 +69,28 @@ void BatchBuilder::MaterialiseDrivers(BatchContext* ctx,
     ad.available_since = d.available_since;
     drivers.push_back(ad);
   }
-  ctx->SetDrivers(std::move(drivers));
+  ctx_.IndexDrivers();
+  if (drivers_materialised_ != nullptr) {
+    drivers_materialised_->Add(static_cast<int64_t>(drivers.size()));
+  }
 }
 
 void BatchBuilder::BuildSnapshots(
-    BatchContext* ctx, double now, const OrderBook& orders,
-    const FleetState& fleet,
-    const std::vector<double>* demand_multipliers) const {
+    double now, const OrderBook& orders, const FleetState& fleet,
+    const std::vector<double>* demand_multipliers) {
+  if (forecast_ != nullptr) {
+    forecast_->WindowCounts(now, window_seconds_, predicted_riders_);
+  }
   const int num_regions = grid_.num_regions();
-  std::vector<RegionSnapshot> snaps(static_cast<size_t>(num_regions));
   const std::vector<int64_t>& demand = orders.demand_by_region();
   const std::vector<int64_t>& supply = fleet.available_by_region();
   const std::vector<int32_t>& rejoining = fleet.rejoining_in_window();
   for (int k = 0; k < num_regions; ++k) {
-    RegionSnapshot& s = snaps[static_cast<size_t>(k)];
+    RegionSnapshot& s = ctx_.snapshots_[static_cast<size_t>(k)];
     s.waiting_riders = demand[static_cast<size_t>(k)];
     s.available_drivers = supply[static_cast<size_t>(k)];
     if (forecast_ != nullptr) {
-      s.predicted_riders = forecast_->WindowCount(now, window_seconds_, k);
+      s.predicted_riders = predicted_riders_[static_cast<size_t>(k)];
       if (demand_multipliers != nullptr) {
         s.predicted_riders *= (*demand_multipliers)[static_cast<size_t>(k)];
       }
@@ -92,7 +98,6 @@ void BatchBuilder::BuildSnapshots(
     s.predicted_drivers =
         static_cast<double>(rejoining[static_cast<size_t>(k)]);
   }
-  ctx->SetSnapshots(std::move(snaps));
 }
 
 }  // namespace mrvd

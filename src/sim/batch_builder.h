@@ -1,16 +1,20 @@
-// Batch-construction stage of the staged engine. Assembles the immutable
-// BatchContext the dispatchers consume from the OrderBook and FleetState:
+// Batch-construction stage of the staged engine. Rebuilds the BatchContext
+// the dispatchers consume from the OrderBook and FleetState:
 //
 //   * riders/drivers are *materialised* — copied into the context's dense
 //     arrays in the canonical order (riders in arrival order, drivers by
-//     ascending id);
+//     ascending id), and the drivers are bucketed by region in the
+//     context's flat index;
 //   * region demand/supply snapshots are read straight off the stages'
 //     incremental counters (OrderBook::demand_by_region, FleetState::
 //     available_by_region / rejoining_in_window) instead of the former
 //     per-batch recount over every rider, driver, and busy schedule.
+//
+// The builder owns one context and rebuilds it in place each batch, so a
+// batch build allocates nothing once capacities have grown to the run's
+// largest batch.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "geo/grid.h"
@@ -22,13 +26,22 @@
 
 namespace mrvd {
 
+namespace telemetry {
+class Counter;
+class TelemetrySession;
+}  // namespace telemetry
+
 class BatchBuilder {
  public:
-  /// `forecast` may be null (no prediction). All referenced objects must
-  /// outlive the builder.
+  /// `forecast` may be null (no prediction); `telemetry` may be null
+  /// (telemetry off). All referenced objects must outlive the builder.
+  /// With a session attached, every build adds its materialised drivers to
+  /// the kDeterministic counter batch.drivers_materialised, and the
+  /// context counts its ET solves (BatchContext::ExpectedIdleSeconds).
   BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                const DemandForecast* forecast, double window_seconds,
-               double reneging_beta, CandidateMode candidate_mode);
+               double reneging_beta, CandidateMode candidate_mode,
+               telemetry::TelemetrySession* telemetry = nullptr);
 
   /// Builds the batch at time `now`. Context rider index i is waiting()
   /// index i (every waiting rider is materialised, in order); context
@@ -36,23 +49,27 @@ class BatchBuilder {
   /// (scenario shift) drivers are never materialised. `demand_multipliers`
   /// (may be null = all 1.0) scales each region's predicted rider demand —
   /// the engine passes the active surge windows' per-region product.
-  std::unique_ptr<BatchContext> Build(
+  ///
+  /// The returned context is the builder's own: it stays valid, and
+  /// unchanged, until the next Build.
+  const BatchContext& Build(
       double now, const OrderBook& orders, const FleetState& fleet,
-      const std::vector<double>* demand_multipliers = nullptr) const;
+      const std::vector<double>* demand_multipliers = nullptr);
 
  private:
-  void MaterialiseRiders(BatchContext* ctx, const OrderBook& orders) const;
-  void MaterialiseDrivers(BatchContext* ctx, const FleetState& fleet) const;
-  void BuildSnapshots(BatchContext* ctx, double now, const OrderBook& orders,
+  void MaterialiseRiders(const OrderBook& orders);
+  void MaterialiseDrivers(const FleetState& fleet);
+  void BuildSnapshots(double now, const OrderBook& orders,
                       const FleetState& fleet,
-                      const std::vector<double>* demand_multipliers) const;
+                      const std::vector<double>* demand_multipliers);
 
   const Grid& grid_;
-  const TravelCostModel& cost_model_;
   const DemandForecast* forecast_;
   const double window_seconds_;
-  const double reneging_beta_;
-  const CandidateMode candidate_mode_;
+  /// Each region's forecast window count, reused across batches.
+  std::vector<double> predicted_riders_;
+  BatchContext ctx_;
+  telemetry::Counter* drivers_materialised_ = nullptr;  ///< null: off
 };
 
 }  // namespace mrvd

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -233,7 +232,8 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   ScenarioState scenario(script, drivers_, grid_);
 
   BatchBuilder builder(grid_, cost_model_, forecast_, config_.window_seconds,
-                       config_.reneging_beta, config_.candidate_mode);
+                       config_.reneging_beta, config_.candidate_mode,
+                       config_.telemetry);
   AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel,
                             config_.telemetry);
 
@@ -264,6 +264,7 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
 
   const double delta = config_.batch_interval;
   const double horizon = config_.horizon_seconds;
+  std::vector<Assignment> assignments;  // reused: cleared every batch
   double now = 0.0;
   for (; now < horizon; now += delta) {
     clock.Start();
@@ -292,23 +293,22 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     }
 
     // 3. Build the batch context off the incremental counters, after the
-    //    rejoin window they include has advanced to `now`.
+    //    rejoin window they include has advanced to `now`. The context is
+    //    the builder's, rebuilt in place by the next Build.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
-    std::unique_ptr<BatchContext> ctx =
+    const BatchContext& ctx =
         builder.Build(now, orders, fleet, scenario.demand_multipliers());
     const double build_seconds = clock.Lap("batch_build");
 
     // 4. Publish the context, then capture idle-time estimates for freshly
     //    (re)joined drivers.
-    ctx->SetTelemetry(tele);
-    observers.OnBatchBuilt(now, build_seconds, *ctx);
-    fleet.CaptureIdleEstimates(config_.record_idle_samples ? ctx.get()
-                                                           : nullptr);
+    observers.OnBatchBuilt(now, build_seconds, ctx);
+    fleet.CaptureIdleEstimates(config_.record_idle_samples ? &ctx : nullptr);
     clock.Lap("capture_idle");
 
     // 5. Dispatch.
-    std::vector<Assignment> assignments;
-    dispatcher.Dispatch(*ctx, &assignments);
+    assignments.clear();
+    dispatcher.Dispatch(ctx, &assignments);
     const double dispatch_seconds = clock.Lap("dispatch");
 
     // 6. Report the dispatch, apply the assignments, compact the served
@@ -317,7 +317,7 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     if (const DispatchCounters* counters = dispatcher.counters()) {
       observers.OnDispatchCounters(now, *counters);
     }
-    applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
+    applier.Apply(now, ctx, assignments, &fleet, &orders, &observers);
     if (tele_batches != nullptr) {
       tele_batches->Add();
       tele_assignments->Add(static_cast<int64_t>(assignments.size()));

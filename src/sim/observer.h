@@ -62,7 +62,9 @@ class SimObserver {
   /// The batch context is complete (riders, drivers, snapshots).
   /// `build_seconds` is the wall time of the engine's batch_build stage
   /// (rejoin-window advance + incremental construction), the same reading
-  /// its trace span carries.
+  /// its trace span carries. The engine rebuilds one context in place
+  /// every batch, so `ctx` is valid only until this batch's OnBatchEnd;
+  /// keep copies of what must outlive the batch, never the reference.
   virtual void OnBatchBuilt(double now, double build_seconds,
                             const BatchContext& ctx) {
     (void)now, (void)build_seconds, (void)ctx;
