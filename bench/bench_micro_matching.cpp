@@ -6,8 +6,8 @@
 
 #include <algorithm>
 
+#include "api/dispatcher_registry.h"
 #include "dispatch/candidates.h"
-#include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
 #include "geo/travel.h"
 #include "matching/bipartite.h"
@@ -107,7 +107,8 @@ struct BatchFixture {
 void BM_OneBatchDispatch(benchmark::State& state, const char* which) {
   BatchFixture fx(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
-  std::unique_ptr<Dispatcher> d = MakeDispatcherByName(which);
+  std::unique_ptr<Dispatcher> d =
+      DispatcherRegistry::Global().Create(which).value();
   for (auto _ : state) {
     std::vector<Assignment> out;
     d->Dispatch(fx.ctx, &out);

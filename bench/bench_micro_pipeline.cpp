@@ -48,7 +48,6 @@
 
 #include "api/api.h"
 #include "campaign/campaign.h"
-#include "dispatch/dispatchers.h"
 #include "geo/travel.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
@@ -70,6 +69,12 @@
 
 namespace mrvd {
 namespace {
+
+/// Registry-built dispatcher with its declared parameter defaults; `name`
+/// is a built-in, so the lookup cannot fail.
+std::unique_ptr<Dispatcher> MakeDispatcher(const std::string& name) {
+  return DispatcherRegistry::Global().Create(name).value();
+}
 
 int EnvInt(const char* name, int fallback, int min_value) {
   const char* v = std::getenv(name);
@@ -187,7 +192,7 @@ int Main() {
       // Fresh context per rep: the ET memo table must start cold, as it
       // does for every batch of a real run.
       auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
-      auto dispatcher = MakeDispatcherByName(name);
+      auto dispatcher = MakeDispatcher(name);
       out.clear();
       Stopwatch watch;
       dispatcher->Dispatch(*ctx, &out);
@@ -469,7 +474,7 @@ int Main() {
         session.emplace(tcfg);
         cfg.telemetry = &*session;
       }
-      auto near = MakeDispatcherByName("NEAR");
+      auto near = MakeDispatcher("NEAR");
       Stopwatch watch;
       StatusOr<SimResult> run =
           engine_sim->RunWith(cfg, *near, /*scenario=*/nullptr);
@@ -628,7 +633,7 @@ int Main() {
                    stream_sim.status().ToString().c_str());
       return 1;
     }
-    auto near = MakeDispatcherByName("NEAR");
+    auto near = MakeDispatcher("NEAR");
     Stopwatch run_watch;
     StatusOr<SimResult> run =
         stream_sim->RunWith(stream_cfg, *near, /*scenario=*/nullptr);
@@ -690,7 +695,7 @@ int Main() {
                    mat_sim.status().ToString().c_str());
       return 1;
     }
-    auto near = MakeDispatcherByName("NEAR");
+    auto near = MakeDispatcher("NEAR");
     Stopwatch run_watch;
     StatusOr<SimResult> run =
         mat_sim->RunWith(stream_cfg, *near, /*scenario=*/nullptr);

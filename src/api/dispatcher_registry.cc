@@ -315,26 +315,4 @@ DispatcherRegistrar::DispatcherRegistrar(std::string name,
   }
 }
 
-/// Legacy shim kept for the pre-registry call sites (declared in
-/// dispatch/dispatchers.h). Prefer DispatcherRegistry::Create, which
-/// reports unknown names with a Status instead of nullptr. The full uint64
-/// seed domain is preserved: seeds above int64 max are formatted as their
-/// two's-complement int64 (spec parameters are int64), and the factory's
-/// cast back to uint64 restores the exact bit pattern.
-std::unique_ptr<Dispatcher> MakeDispatcherByName(const std::string& name,
-                                                 uint64_t seed,
-                                                 int max_sweeps) {
-  DispatcherRegistry& registry = DispatcherRegistry::Global();
-  std::vector<std::pair<std::string, std::string>> overrides;
-  if (registry.HasParam(name, "seed")) {
-    overrides.emplace_back("seed",
-                           std::to_string(static_cast<int64_t>(seed)));
-  }
-  if (registry.HasParam(name, "max_sweeps")) {
-    overrides.emplace_back("max_sweeps", std::to_string(max_sweeps));
-  }
-  StatusOr<std::unique_ptr<Dispatcher>> d = registry.Create(name, overrides);
-  return d.ok() ? std::move(d).value() : nullptr;
-}
-
 }  // namespace mrvd

@@ -1,5 +1,5 @@
 // Self-registering dispatcher factory registry — the experiment API's
-// replacement for the old MakeDispatcherByName if/else chain.
+// replacement for a hand-written if/else chain over dispatcher names.
 //
 // Every dispatcher registers a factory keyed by its display name together
 // with the typed parameters it accepts, so callers assemble dispatchers

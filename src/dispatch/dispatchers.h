@@ -38,14 +38,4 @@ std::unique_ptr<Dispatcher> MakeShortDispatcher();
 std::unique_ptr<Dispatcher> MakePolarDispatcher();
 std::unique_ptr<Dispatcher> MakeUpperBoundDispatcher();
 
-/// Legacy factory by display name ("IRG", "LS", "SHORT", "RAND", "NEAR",
-/// "LTG", "POLAR", "UPPER"); nullptr for unknown names. `seed` feeds RAND,
-/// `max_sweeps` feeds LS. Implemented as a thin shim over the
-/// DispatcherRegistry (api/dispatcher_registry.h) — prefer the registry,
-/// whose Create() parses "LS:max_sweeps=8"-style specs and reports unknown
-/// names with a Status listing the known roster instead of nullptr.
-std::unique_ptr<Dispatcher> MakeDispatcherByName(const std::string& name,
-                                                 uint64_t seed = 1,
-                                                 int max_sweeps = 16);
-
 }  // namespace mrvd

@@ -13,24 +13,11 @@ namespace mrvd {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
 
 /// Per-region ET memo entries allocated up front; the stride doubles past
 /// this when a dispatcher queries a larger extra-driver count.
 constexpr int kInitialMemoStride = 8;
-
-/// Grows `box` to cover `p`; a region's first driver starts its box.
-void Extend(BoundingBox* box, const LatLon& p, bool first) {
-  if (first) {
-    *box = BoundingBox{p.lon, p.lon, p.lat, p.lat};
-    return;
-  }
-  box->lon_min = std::min(box->lon_min, p.lon);
-  box->lon_max = std::max(box->lon_max, p.lon);
-  box->lat_min = std::min(box->lat_min, p.lat);
-  box->lat_max = std::max(box->lat_max, p.lat);
-}
 
 }  // namespace
 
@@ -43,22 +30,21 @@ BatchContext::BatchContext(double now, double window_seconds,
       reneging_beta_(reneging_beta),
       grid_(grid),
       cost_model_(cost_model),
-      candidate_mode_(candidate_mode) {
+      candidate_mode_(candidate_mode),
+      own_drivers_(std::make_unique<DriverIndex>(grid.num_regions())) {
   const auto regions = static_cast<size_t>(grid.num_regions());
-  region_start_.resize(regions + 1);
-  driver_box_.resize(regions);
   snapshots_.resize(regions);
   memo_stride_ = kInitialMemoStride;
   idle_memo_.assign(regions * kInitialMemoStride, kNotComputed);
   memo_used_.assign(regions, 0);
-  ClearDriverIndex();
+  BindDrivers(*own_drivers_);
 }
 
 void BatchContext::Reset(double now) {
   now_ = now;
   riders_.clear();
-  drivers_.clear();
-  ClearDriverIndex();
+  if (!own_drivers_->drivers().empty()) own_drivers_->Clear();
+  BindDrivers(*own_drivers_);
   std::fill(snapshots_.begin(), snapshots_.end(), RegionSnapshot{});
   ClearMemo();
 }
@@ -80,11 +66,13 @@ void BatchContext::SetTelemetry(telemetry::TelemetrySession* telemetry) {
                    : telemetry->metrics().counter("batch.et_solves");
 }
 
-void BatchContext::ClearDriverIndex() {
-  std::fill(region_start_.begin(), region_start_.end(), 0);
-  region_drivers_.clear();
-  driver_lat_min_ = kInf;
-  driver_lat_max_ = -kInf;
+void BatchContext::BindDrivers(const DriverIndex& index) {
+  drivers_ = index.drivers_;
+  region_start_ = index.start_.data();
+  region_drivers_ = index.bucketed_.data();
+  driver_box_ = index.boxes_.data();
+  driver_lat_min_ = index.lat_min_;
+  driver_lat_max_ = index.lat_max_;
 }
 
 void BatchContext::AddRider(const WaitingRider& r) {
@@ -94,10 +82,10 @@ void BatchContext::AddRider(const WaitingRider& r) {
 }
 
 void BatchContext::AddDriver(const AvailableDriver& d) {
-  assert(d.region != kInvalidRegion);
-  drivers_.push_back(d);
-  ClearDriverIndex();
-  IndexDrivers();
+  const DriverInsert append{static_cast<int>(own_drivers_->drivers().size()),
+                            d};
+  own_drivers_->Patch({}, std::span<const DriverInsert>(&append, 1));
+  BindDrivers(*own_drivers_);
 }
 
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
@@ -106,41 +94,13 @@ void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
   ClearMemo();
 }
 
-void BatchContext::SetDrivers(std::vector<AvailableDriver> drivers) {
-  drivers_ = std::move(drivers);
-  ClearDriverIndex();
-  IndexDrivers();
-}
-
-void BatchContext::IndexDrivers() {
-  // Pass 1: count[k] counts region k's drivers while the boxes and the
-  // latitude range grow; the prefix sum then turns each count into the end
-  // of its bucket. Locals and raw pointers keep the running values in
-  // registers: the compiler cannot prove the boxes and the members apart.
-  int* const count = region_start_.data();
-  BoundingBox* const box = driver_box_.data();
-  double lat_min = driver_lat_min_;
-  double lat_max = driver_lat_max_;
-  for (const AvailableDriver& d : drivers_) {
-    assert(d.region != kInvalidRegion);
-    const auto k = static_cast<size_t>(d.region);
-    Extend(&box[k], d.location, count[k]++ == 0);
-    lat_min = std::min(lat_min, d.location.lat);
-    lat_max = std::max(lat_max, d.location.lat);
-  }
-  driver_lat_min_ = lat_min;
-  driver_lat_max_ = lat_max;
-  const size_t regions = driver_box_.size();
-  for (size_t k = 1; k < regions; ++k) count[k] += count[k - 1];
-  count[regions] = static_cast<int>(drivers_.size());
-  // Pass 2: placing drivers in descending index order from each bucket's
-  // end leaves every bucket ascending and each offset at its bucket start.
-  region_drivers_.resize(drivers_.size());
-  int* const placed = region_drivers_.data();
-  for (size_t j = drivers_.size(); j-- > 0;) {
-    const auto k = static_cast<size_t>(drivers_[j].region);
-    placed[--count[k]] = static_cast<int>(j);
-  }
+void BatchContext::SetDrivers(const std::vector<AvailableDriver>& drivers) {
+  std::vector<DriverInsert> inserted;
+  inserted.reserve(drivers.size());
+  for (const AvailableDriver& d : drivers) inserted.push_back({0, d});
+  own_drivers_->Clear();
+  own_drivers_->Patch({}, inserted);
+  BindDrivers(*own_drivers_);
 }
 
 RegionSnapshot BatchContext::ServiceSnapshot(RegionId region) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "geo/grid.h"
 #include "geo/travel.h"
 #include "queueing/rates.h"
+#include "sim/driver_index.h"
 #include "workload/types.h"
 
 namespace mrvd {
@@ -32,14 +34,6 @@ struct WaitingRider {
   double trip_seconds = 0.0;   ///< cost(s_i, e_i)
   RegionId pickup_region = kInvalidRegion;
   RegionId dropoff_region = kInvalidRegion;
-};
-
-/// An available driver in the current batch.
-struct AvailableDriver {
-  DriverId driver_id = -1;
-  LatLon location;
-  RegionId region = kInvalidRegion;
-  double available_since = 0.0;
 };
 
 /// One selected rider-and-driver dispatching pair; indices refer to the
@@ -66,23 +60,25 @@ enum class CandidateMode {
 /// their tentative selections shift future driver supply (§5.1, line 11).
 ///
 /// The engine's BatchBuilder owns one context per run and rebuilds it in
-/// place every batch: Reset(now) empties riders, drivers, buckets,
-/// snapshots and the memo but keeps their capacity, so a batch allocates
-/// nothing once the run has seen its largest batch.
+/// place every batch: Reset(now) empties riders, drivers, snapshots and the
+/// memo but keeps their capacity, so a batch allocates nothing once the run
+/// has seen its largest batch.
 ///
-/// Drivers are bucketed by current region in one flat CSR array (region
-/// offsets plus driver indices, ascending within a region), built together
-/// with each region's driver bounding box and the fleet's latitude range,
-/// which the Def.-3 candidate search prunes with.
+/// The drivers, their flat region buckets (ascending context indices), the
+/// region driver boxes and the latitude range the Def.-3 candidate search
+/// prunes with are a view of a DriverIndex: the fleet's, which the builder
+/// patches and binds every batch, or the context's own for hand-built
+/// contexts. Binding caches the index's raw arrays, so reading a bucket or
+/// a box costs what it cost when the context held its own copy.
 class BatchContext {
  public:
   BatchContext(double now, double window_seconds, double reneging_beta,
                const Grid& grid, const TravelCostModel& cost_model,
                CandidateMode candidate_mode = CandidateMode::kRingExpand);
 
-  /// Starts a new batch at `now`: clears riders, drivers, region buckets,
-  /// snapshots and the idle-time memo, keeping their capacity. The
-  /// telemetry session stays attached.
+  /// Starts a new batch at `now`: clears riders, snapshots and the
+  /// idle-time memo, keeping their capacity, and views the context's own,
+  /// emptied, driver index. The telemetry session stays attached.
   void Reset(double now);
 
   CandidateMode candidate_mode() const { return candidate_mode_; }
@@ -93,13 +89,15 @@ class BatchContext {
   const TravelCostModel& cost_model() const { return cost_model_; }
 
   const std::vector<WaitingRider>& riders() const { return riders_; }
-  const std::vector<AvailableDriver>& drivers() const { return drivers_; }
+  /// The batch's available drivers; entries of the engine's batches are in
+  /// ascending fleet index.
+  std::span<const AvailableDriver> drivers() const { return drivers_; }
 
   /// Indices of the available drivers currently in `region`, ascending.
   std::span<const int> DriversIn(RegionId region) const {
     const auto k = static_cast<size_t>(region);
-    return {region_drivers_.data() + region_start_[k],
-            region_drivers_.data() + region_start_[k + 1]};
+    return {region_drivers_ + region_start_[k],
+            region_drivers_ + region_start_[k + 1]};
   }
 
   /// Bounding box of the positions of `region`'s drivers (a GPS fix outside
@@ -150,35 +148,28 @@ class BatchContext {
     return now_ + PickupSeconds(d, r) <= r.pickup_deadline;
   }
 
-  /// Hand-built setup API (tests, benches). AddDriver rebuilds the region
-  /// buckets, boxes and latitude range, so it costs O(drivers + regions)
-  /// per call; bulk setup should use SetDrivers.
+  /// Hand-built setup API (tests, benches), on the context's own driver
+  /// index. AddDriver appends through DriverIndex::Patch, which costs
+  /// O(drivers + regions) per call; bulk setup should use SetDrivers.
   void AddRider(const WaitingRider& r);
   void AddDriver(const AvailableDriver& d);
   void SetSnapshots(std::vector<RegionSnapshot> snapshots);
 
-  /// Replaces the drivers and rebuilds the region index in one counting
-  /// sort.
-  void SetDrivers(std::vector<AvailableDriver> drivers);
+  /// Replaces the drivers: one Patch of the emptied own index.
+  void SetDrivers(const std::vector<AvailableDriver>& drivers);
 
   /// Cap on congested drivers K for region ET queries: available drivers in
   /// the region now plus predicted rejoiners (at least 1).
   int64_t MaxDriversFor(RegionId region, int extra_drivers) const;
 
  private:
-  /// The BatchBuilder fills riders_, drivers_ and snapshots_ in place and
-  /// then calls IndexDrivers().
+  /// The BatchBuilder fills riders_ and snapshots_ in place and binds the
+  /// fleet's driver index.
   friend class BatchBuilder;
 
-  /// Builds the region CSR, the region driver boxes and the latitude range
-  /// from drivers_ into a cleared index: one counting pass (counts, boxes,
-  /// range), then a descending placement pass that leaves each bucket
-  /// ascending.
-  void IndexDrivers();
-
-  /// Empties the driver index: zero offsets, no buckets, inverted latitude
-  /// range. Boxes are not touched; a region's first driver restarts its box.
-  void ClearDriverIndex();
+  /// Views `index` until the next bind: caches its roster, bucket, box and
+  /// latitude-range values. The index must not be patched while viewed.
+  void BindDrivers(const DriverIndex& index);
 
   /// Marks every memo entry not computed.
   void ClearMemo();
@@ -200,12 +191,14 @@ class BatchContext {
   CandidateMode candidate_mode_;
 
   std::vector<WaitingRider> riders_;
-  std::vector<AvailableDriver> drivers_;
-  /// Region k's drivers are region_drivers_[region_start_[k] ..
-  /// region_start_[k + 1]); num_regions + 1 offsets.
-  std::vector<int> region_start_;
-  std::vector<int> region_drivers_;
-  std::vector<BoundingBox> driver_box_;  ///< by region; stale when empty
+  /// Hand-built contexts' drivers; on the heap so that the cached view
+  /// below survives moving the context.
+  std::unique_ptr<DriverIndex> own_drivers_;
+  /// The bound DriverIndex's arrays (see DriverIndex for their layout).
+  std::span<const AvailableDriver> drivers_;
+  const int* region_start_ = nullptr;
+  const int* region_drivers_ = nullptr;
+  const BoundingBox* driver_box_ = nullptr;
   double driver_lat_min_ = 0.0;
   double driver_lat_max_ = 0.0;
   std::vector<RegionSnapshot> snapshots_;

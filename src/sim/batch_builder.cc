@@ -37,15 +37,21 @@ BatchBuilder::BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
   if (telemetry != nullptr) {
     drivers_materialised_ =
         telemetry->metrics().counter("batch.drivers_materialised");
+    drivers_patched_ = telemetry->metrics().counter("batch.drivers_patched");
   }
 }
 
 const BatchContext& BatchBuilder::Build(
-    double now, const OrderBook& orders, const FleetState& fleet,
+    double now, const OrderBook& orders, FleetState& fleet,
     const std::vector<double>* demand_multipliers) {
   ctx_.Reset(now);
   MaterialiseRiders(orders);
-  MaterialiseDrivers(fleet);
+  const int64_t patched = fleet.SyncDriverIndex();
+  ctx_.BindDrivers(fleet.driver_index());
+  if (drivers_materialised_ != nullptr) {
+    drivers_materialised_->Add(static_cast<int64_t>(ctx_.drivers().size()));
+    drivers_patched_->Add(patched);
+  }
   BuildSnapshots(now, orders, fleet, demand_multipliers);
   return ctx_;
 }
@@ -53,25 +59,6 @@ const BatchContext& BatchBuilder::Build(
 void BatchBuilder::MaterialiseRiders(const OrderBook& orders) {
   for (const PendingRider& pr : orders.waiting()) {
     ctx_.riders_.push_back(Materialise(pr));
-  }
-}
-
-void BatchBuilder::MaterialiseDrivers(const FleetState& fleet) {
-  const std::vector<DriverState>& all = fleet.drivers();
-  std::vector<AvailableDriver>& drivers = ctx_.drivers_;
-  for (size_t j = 0; j < all.size(); ++j) {
-    const DriverState& d = all[j];
-    if (!d.Dispatchable()) continue;
-    AvailableDriver ad;
-    ad.driver_id = static_cast<DriverId>(j);
-    ad.location = d.location;
-    ad.region = d.region;
-    ad.available_since = d.available_since;
-    drivers.push_back(ad);
-  }
-  ctx_.IndexDrivers();
-  if (drivers_materialised_ != nullptr) {
-    drivers_materialised_->Add(static_cast<int64_t>(drivers.size()));
   }
 }
 
@@ -83,12 +70,11 @@ void BatchBuilder::BuildSnapshots(
   }
   const int num_regions = grid_.num_regions();
   const std::vector<int64_t>& demand = orders.demand_by_region();
-  const std::vector<int64_t>& supply = fleet.available_by_region();
   const std::vector<int32_t>& rejoining = fleet.rejoining_in_window();
   for (int k = 0; k < num_regions; ++k) {
     RegionSnapshot& s = ctx_.snapshots_[static_cast<size_t>(k)];
     s.waiting_riders = demand[static_cast<size_t>(k)];
-    s.available_drivers = supply[static_cast<size_t>(k)];
+    s.available_drivers = static_cast<int64_t>(ctx_.DriversIn(k).size());
     if (forecast_ != nullptr) {
       s.predicted_riders = predicted_riders_[static_cast<size_t>(k)];
       if (demand_multipliers != nullptr) {

@@ -1,11 +1,13 @@
 #include "sim/fleet_state.h"
 
+#include <algorithm>
+
 namespace mrvd {
 
 FleetState::FleetState(const std::vector<DriverSpec>& drivers,
-                       const Grid& grid) {
+                       const Grid& grid)
+    : index_(grid.num_regions()) {
   drivers_.resize(drivers.size());
-  available_by_region_.assign(static_cast<size_t>(grid.num_regions()), 0);
   rejoining_in_window_.assign(static_cast<size_t>(grid.num_regions()), 0);
   fresh_drivers_.reserve(drivers_.size());
   for (size_t j = 0; j < drivers_.size(); ++j) {
@@ -16,9 +18,45 @@ FleetState::FleetState(const std::vector<DriverSpec>& drivers,
     d.available_since = drivers[j].join_time;
     d.busy = false;
     fresh_drivers_.push_back(static_cast<int>(j));
-    ++available_by_region_[static_cast<size_t>(d.region)];
+    MarkChanged(static_cast<int>(j));
   }
-  available_count_ = static_cast<int64_t>(drivers_.size());
+  SyncDriverIndex();
+}
+
+void FleetState::MarkChanged(int j) {
+  DriverState& d = drivers_[static_cast<size_t>(j)];
+  if (d.index_pending) return;
+  d.index_pending = true;
+  changed_.push_back(j);
+}
+
+int64_t FleetState::SyncDriverIndex() {
+  if (changed_.empty()) return 0;
+  std::sort(changed_.begin(), changed_.end());
+  removed_.clear();
+  inserted_.clear();
+  // Both lists come out ascending: the roster and changed_ are both in
+  // fleet-index order, so one forward search finds every position.
+  const std::vector<AvailableDriver>& roster = index_.drivers();
+  auto pos = roster.begin();
+  for (int j : changed_) {
+    DriverState& d = drivers_[static_cast<size_t>(j)];
+    d.index_pending = false;
+    pos = std::lower_bound(pos, roster.end(), j,
+                           [](const AvailableDriver& e, int id) {
+                             return e.driver_id < id;
+                           });
+    const auto at = static_cast<int>(pos - roster.begin());
+    if (pos != roster.end() && pos->driver_id == j) removed_.push_back(at);
+    if (d.Dispatchable()) {
+      inserted_.push_back(
+          {at, AvailableDriver{static_cast<DriverId>(j), d.location, d.region,
+                               d.available_since}});
+    }
+  }
+  changed_.clear();
+  index_.Patch(removed_, inserted_);
+  return static_cast<int64_t>(removed_.size() + inserted_.size());
 }
 
 void FleetState::ReleaseFinished(double now) {
@@ -37,13 +75,12 @@ void FleetState::ReleaseFinished(double now) {
     d.available_since = d.busy_until;
     if (d.sign_off_pending) {
       // The driver worked the trip out and now leaves the platform: never
-      // re-enters the supply counters or the fresh-driver queue.
+      // re-enters the driver index or the fresh-driver queue.
       d.sign_off_pending = false;
       d.signed_off = true;
       continue;
     }
-    ++available_by_region_[static_cast<size_t>(d.region)];
-    ++available_count_;
+    MarkChanged(j);
     fresh_drivers_.push_back(j);
   }
 }
@@ -81,8 +118,7 @@ bool FleetState::SignOff(int j) {
     }
   } else {
     d.signed_off = true;
-    --available_by_region_[static_cast<size_t>(d.region)];
-    --available_count_;
+    MarkChanged(j);
   }
   return true;
 }
@@ -100,8 +136,7 @@ bool FleetState::SignOn(int j, double now) {
   if (!d.signed_off) return false;
   d.signed_off = false;
   d.available_since = now;
-  ++available_by_region_[static_cast<size_t>(d.region)];
-  ++available_count_;
+  MarkChanged(j);
   fresh_drivers_.push_back(j);
   return true;
 }
@@ -109,8 +144,7 @@ bool FleetState::SignOn(int j, double now) {
 void FleetState::MarkBusy(int j, double busy_until, const LatLon& dest,
                           RegionId dest_region) {
   DriverState& d = drivers_[static_cast<size_t>(j)];
-  --available_by_region_[static_cast<size_t>(d.region)];
-  --available_count_;
+  MarkChanged(j);
   d.busy = true;
   d.busy_until = busy_until;
   d.busy_dest = dest;

@@ -114,38 +114,33 @@ LatLon NycLikeGenerator::RandomPointIn(RegionId region, Rng& rng) const {
           rng.Uniform(cell.lon_min, cell.lon_max)};
 }
 
-RegionId NycLikeGenerator::SampleDestination(int slot, RegionId from,
-                                             Rng& rng) const {
+void NycLikeGenerator::DestinationCdf(int slot, RegionId from, bool local,
+                                      std::vector<double>* cdf) const {
   // Destination field is the *opposite* mix of the origin field: morning
   // trips end at business hotspots, evening trips end at residential ones.
-  double m = MorningMix(slot);
+  const double m = MorningMix(slot);
   const int n = grid_.num_regions();
-  auto dest_share = [&](RegionId r) {
-    return (1.0 - m) * residential_[static_cast<size_t>(r)] +
-           m * business_[static_cast<size_t>(r)];
-  };
-
-  bool local = rng.Bernoulli(config_.local_dest_prob);
-  // Inverse-CDF over the (possibly gravity-damped) destination weights.
-  double total = 0.0;
-  thread_local std::vector<double> weights;
-  weights.assign(static_cast<size_t>(n), 0.0);
+  cdf->resize(static_cast<size_t>(n));
+  double acc = 0.0;
   for (RegionId r = 0; r < n; ++r) {
-    double w = dest_share(r);
+    double w = (1.0 - m) * residential_[static_cast<size_t>(r)] +
+               m * business_[static_cast<size_t>(r)];
     if (local) {
       double d = grid_.RingDistance(from, r);
       w *= std::exp(-d / config_.gravity_scale_cells);
     }
-    weights[static_cast<size_t>(r)] = w;
-    total += w;
+    acc += w;
+    (*cdf)[static_cast<size_t>(r)] = acc;
   }
-  double u = rng.NextDouble() * total;
-  double acc = 0.0;
-  for (RegionId r = 0; r < n; ++r) {
-    acc += weights[static_cast<size_t>(r)];
-    if (u <= acc) return r;
-  }
-  return static_cast<RegionId>(n - 1);
+}
+
+RegionId NycLikeGenerator::DrawRegion(const std::vector<double>& cdf,
+                                      Rng& rng) {
+  // Inverse CDF: the first region whose cumulative weight reaches u.
+  const double u = rng.NextDouble() * cdf.back();
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? static_cast<RegionId>(cdf.size() - 1)
+                         : static_cast<RegionId>(it - cdf.begin());
 }
 
 std::vector<double> NycLikeGenerator::DestinationDistribution(
@@ -181,15 +176,27 @@ Workload NycLikeGenerator::GenerateDay(int day_index, int num_drivers) const {
   w.horizon_seconds = kSecondsPerDay;
   const double slot_secs = kSecondsPerDay / kSlotsPerDay;
 
+  // Destination weights depend on the slot, and for local trips on the
+  // origin too, so each cumulative table is built once per slot or per
+  // (slot, origin) instead of once per order.
+  std::vector<double> global_cdf;
+  std::vector<double> local_cdf;
   for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    DestinationCdf(slot, kInvalidRegion, /*local=*/false, &global_cdf);
     for (RegionId r = 0; r < grid_.num_regions(); ++r) {
       double mean = ExpectedSlotCount(day_index, slot, r);
       int64_t count = rng.Poisson(mean);
+      bool local_cdf_built = false;
       for (int64_t c = 0; c < count; ++c) {
         Order o;
         o.request_time = slot * slot_secs + rng.Uniform(0.0, slot_secs);
         o.pickup = RandomPointIn(r, rng);
-        RegionId dest = SampleDestination(slot, r, rng);
+        const bool local = rng.Bernoulli(config_.local_dest_prob);
+        if (local && !local_cdf_built) {
+          DestinationCdf(slot, r, /*local=*/true, &local_cdf);
+          local_cdf_built = true;
+        }
+        RegionId dest = DrawRegion(local ? local_cdf : global_cdf, rng);
         o.dropoff = RandomPointIn(dest, rng);
         o.pickup_deadline =
             o.request_time +

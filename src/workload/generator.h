@@ -113,7 +113,13 @@ class NycLikeGenerator {
   /// Morning-ness in [0,1] for mixing residential/business fields.
   static double MorningMix(int slot);
 
-  RegionId SampleDestination(int slot, RegionId from, Rng& rng) const;
+  /// Cumulative destination weights, in region order, of a trip posted in
+  /// `slot` from `from`; `local` trips are damped by gravity (ring
+  /// distance from `from`), the others ignore `from`.
+  void DestinationCdf(int slot, RegionId from, bool local,
+                      std::vector<double>* cdf) const;
+  /// Draws a region with probability proportional to its weight in `cdf`.
+  static RegionId DrawRegion(const std::vector<double>& cdf, Rng& rng);
   LatLon RandomPointIn(RegionId region, Rng& rng) const;
 
   GeneratorConfig config_;

@@ -187,18 +187,20 @@ TEST(DispatcherRegistryTest, Int64ParamsKeepFullFidelity) {
   ASSERT_FALSE(overflow.ok());
 }
 
-TEST(DispatcherRegistryTest, TraitsAndLegacyShim) {
+TEST(DispatcherRegistryTest, TraitsAndSeedDomain) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();
   EXPECT_TRUE(registry.RequiresZeroPickupTravel("UPPER"));
   EXPECT_FALSE(registry.RequiresZeroPickupTravel("IRG"));
   EXPECT_TRUE(registry.HasParam("RAND", "seed"));
   EXPECT_FALSE(registry.HasParam("RAND", "max_sweeps"));
 
-  // The legacy MakeDispatcherByName is now a shim over the registry, and
-  // keeps the full uint64 seed domain (two's-complement round-trip).
-  EXPECT_NE(MakeDispatcherByName("LS", 1, 4), nullptr);
-  EXPECT_NE(MakeDispatcherByName("RAND", 0x8000000000000001ull), nullptr);
-  EXPECT_EQ(MakeDispatcherByName("NOPE"), nullptr);
+  // A uint64 seed above int64 max travels as its two's-complement int64.
+  EXPECT_TRUE(registry.Create("LS", {{"max_sweeps", "4"}}).ok());
+  EXPECT_TRUE(registry
+                  .Create("RAND", {{"seed", std::to_string(static_cast<int64_t>(
+                                                0x8000000000000001ull))}})
+                  .ok());
+  EXPECT_FALSE(registry.Create("NOPE").ok());
 }
 
 /// Minimal dispatcher for the self-registration test.

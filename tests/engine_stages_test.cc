@@ -1,6 +1,7 @@
 // Unit tests for the staged engine's building blocks: the incremental
-// region counters of FleetState/OrderBook must track the brute-force
-// recounts the monolithic engine used to perform every batch, and the
+// supply of FleetState (its synced driver index and rejoin window) and the
+// demand counters of OrderBook must track the brute-force recounts the
+// monolithic engine used to perform every batch, and the
 // SimObserver hooks must fire consistently with the aggregates the
 // MetricsCollector reports.
 #include <gtest/gtest.h>
@@ -44,11 +45,18 @@ class FleetStateTest : public ::testing::Test {
                 lon_frac * (kNycBoundingBox.lon_max - kNycBoundingBox.lon_min)};
   }
 
-  /// Brute-force recount of both supply counters, exactly as the
-  /// monolithic engine recomputed them per batch — extended with the
-  /// scenario shift semantics: signed-off drivers are out of the supply,
-  /// and a pending sign-off will not rejoin its dropoff region.
-  void ExpectCountersMatchRecount(const FleetState& fleet, double now,
+  /// Dispatchable drivers in the synced driver index.
+  static int64_t Available(FleetState& fleet) {
+    fleet.SyncDriverIndex();
+    return static_cast<int64_t>(fleet.driver_index().drivers().size());
+  }
+
+  /// Brute-force recount of the supply (the driver index's bucket sizes
+  /// after a sync, and the rejoin window), exactly as the monolithic engine
+  /// recomputed it per batch — extended with the scenario shift semantics:
+  /// signed-off drivers are out of the supply, and a pending sign-off will
+  /// not rejoin its dropoff region.
+  void ExpectCountersMatchRecount(FleetState& fleet, double now,
                                   double window) {
     std::vector<int64_t> available(static_cast<size_t>(grid_.num_regions()),
                                    0);
@@ -65,10 +73,11 @@ class FleetStateTest : public ::testing::Test {
         ++rejoining[static_cast<size_t>(d.busy_dest_region)];
       }
     }
-    EXPECT_EQ(fleet.available_count(), available_total) << "now=" << now;
+    EXPECT_EQ(Available(fleet), available_total) << "now=" << now;
     for (int k = 0; k < grid_.num_regions(); ++k) {
-      EXPECT_EQ(fleet.available_by_region()[static_cast<size_t>(k)],
-                available[static_cast<size_t>(k)])
+      EXPECT_EQ(
+          static_cast<int64_t>(fleet.driver_index().DriversIn(k).size()),
+          available[static_cast<size_t>(k)])
           << "region " << k << " now=" << now;
       EXPECT_EQ(fleet.rejoining_in_window()[static_cast<size_t>(k)],
                 rejoining[static_cast<size_t>(k)])
@@ -108,7 +117,7 @@ TEST_F(FleetStateTest, IncrementalCountersMatchRecountAcrossLifecycle) {
     }
   }
   // Everything completed: the fleet is fully available again.
-  EXPECT_EQ(fleet.available_count(), 10);
+  EXPECT_EQ(Available(fleet), 10);
   EXPECT_FALSE(fleet.HasBusyDrivers());
 }
 
@@ -124,7 +133,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   EXPECT_FALSE(fleet.SignOff(1));
   EXPECT_FALSE(fleet.SignOn(4, 0.0));
   EXPECT_TRUE(fleet.driver(1).signed_off);
-  EXPECT_EQ(fleet.available_count(), 9);
+  EXPECT_EQ(Available(fleet), 9);
   ExpectCountersMatchRecount(fleet, 0.0, window);
 
   // Busy sign-off: driver 3 departs on a trip ending inside the rejoin
@@ -145,7 +154,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   fleet.AdvanceRejoinWindow(330.0, window);
   EXPECT_TRUE(fleet.driver(3).signed_off);
   EXPECT_FALSE(fleet.driver(3).busy);
-  EXPECT_EQ(fleet.available_count(), 8);
+  EXPECT_EQ(Available(fleet), 8);
   ExpectCountersMatchRecount(fleet, 330.0, window);
 
   // Sign-ons re-enter incrementally at the driver's current location and
@@ -156,7 +165,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   EXPECT_TRUE(fleet.SignOn(3, 420.0));
   EXPECT_EQ(fleet.driver(3).region, grid_.RegionOf(dest));
   EXPECT_EQ(fleet.driver(3).available_since, 420.0);
-  EXPECT_EQ(fleet.available_count(), 10);
+  EXPECT_EQ(Available(fleet), 10);
   EXPECT_TRUE(fleet.HasFreshDrivers());
   ExpectCountersMatchRecount(fleet, 420.0, window);
 
@@ -173,7 +182,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   }
   EXPECT_FALSE(fleet.driver(6).busy);
   EXPECT_FALSE(fleet.driver(6).signed_off);
-  EXPECT_EQ(fleet.available_count(), 10);
+  EXPECT_EQ(Available(fleet), 10);
 }
 
 TEST_F(FleetStateTest, ReleaseQueuesFreshDriversForEstimateCapture) {

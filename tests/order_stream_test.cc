@@ -18,7 +18,6 @@
 
 #include "api/api.h"
 #include "campaign/workload_catalog.h"
-#include "dispatch/dispatchers.h"
 #include "geo/travel.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -37,6 +36,14 @@ std::string TempPath(const std::string& name) {
 
 std::string CsvFixturePath() {
   return std::string(MRVD_TEST_DATA_DIR) + "/tlc_trips_sample.csv";
+}
+
+/// Registry-built dispatcher with its declared parameter defaults.
+std::unique_ptr<Dispatcher> MakeDispatcher(const std::string& name) {
+  StatusOr<std::unique_ptr<Dispatcher>> d =
+      DispatcherRegistry::Global().Create(name);
+  EXPECT_TRUE(d.ok()) << d.status();
+  return d.ok() ? std::move(d).value() : nullptr;
 }
 
 /// A small deterministic workload with non-trivial join times and
@@ -449,8 +456,8 @@ TEST(StreamedRunTest, BitIdenticalToMaterialisedAcrossRoster) {
 
   for (const char* name : {"NEAR", "IRG", "LS", "SHORT"}) {
     SCOPED_TRACE(name);
-    auto d1 = MakeDispatcherByName(name);
-    auto d2 = MakeDispatcherByName(name);
+    auto d1 = MakeDispatcher(name);
+    auto d2 = MakeDispatcher(name);
     StatusOr<SimResult> a =
         materialised->RunWith(cfg, *d1, /*scenario=*/nullptr);
     StatusOr<SimResult> b =
@@ -492,8 +499,8 @@ TEST(StreamedRunTest, MaxOrdersCapMatchesCappedMaterialisation) {
                                .WithConfig(cfg)
                                .Build();
   ASSERT_TRUE(b.ok()) << b.status();
-  auto d1 = MakeDispatcherByName("NEAR");
-  auto d2 = MakeDispatcherByName("NEAR");
+  auto d1 = MakeDispatcher("NEAR");
+  auto d2 = MakeDispatcher("NEAR");
   StatusOr<SimResult> ra = a->RunWith(cfg, *d1, nullptr);
   StatusOr<SimResult> rb = b->RunWith(cfg, *d2, nullptr);
   ASSERT_TRUE(ra.ok()) << ra.status();
@@ -541,8 +548,8 @@ TEST(TraceCatalogTest, TraceEntryBuildsAndTogglesMaterialisation) {
   ASSERT_TRUE(materialised.ok()) << materialised.status();
   EXPECT_FALSE(materialised->streaming());
 
-  auto d1 = MakeDispatcherByName("NEAR");
-  auto d2 = MakeDispatcherByName("NEAR");
+  auto d1 = MakeDispatcher("NEAR");
+  auto d2 = MakeDispatcher("NEAR");
   StatusOr<SimResult> a =
       streamed->RunWith(streamed->config(), *d1, nullptr);
   StatusOr<SimResult> b =

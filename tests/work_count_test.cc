@@ -34,6 +34,7 @@ constexpr const char* kCounters[] = {
     "candidates.drivers_scanned",
     "candidates.pairs",
     "batch.drivers_materialised",
+    "batch.drivers_patched",
     "batch.et_solves",
 };
 
